@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
 """Run one benchmark workload and print its result as a JSON line.
 
-    python3 perfbench/run.py --workload dse_sweep --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload program_cpi --seed 1 --seconds 20 --trace 0
 
 Run from the root of a Concorde source tree. The first call builds the
 benchmark binary (perfbench/CMakeLists.txt) into the build directory
 ($CARGO_TARGET_DIR if set, else .bench_build) and writes the untrained
-production-layout model there as a ModelArtifact; later calls reuse both
-until a file of the tree (CMakeLists.txt, cmake/, src/, perfbench/)
-changes.
+production-layout model there as a ModelArtifact; later calls let CMake
+rebuild what changed and rewrite the model only after a rebuild.
 
 Each call runs the workload's set-up SETUP_PROBES extra times in separate
 processes that stop before the first timed operation, and reports the
@@ -21,7 +20,6 @@ before it list every metric the binary reported, with its sample count.
 
 import argparse
 import fcntl
-import hashlib
 import json
 import os
 import statistics
@@ -29,10 +27,22 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("dse_sweep", "program_cpi", "label_dataset", "serve_mixed")
-SETUP_PROBES = 2
+WORKLOADS = ("program_cpi", "label_dataset", "serve_mixed")
+SETUP_PROBES = 8
 BUILD_TIMEOUT_S = 840
 RUN_TIMEOUT_S = 170
+# Allocator settings of every benchmark process: freed memory stays in
+# the process (no trimming, no mmap per large allocation), so the
+# measured part does not keep faulting fresh pages in. Page faults are
+# kernel work whose cost a virtual machine's host changes from minute to
+# minute; without these settings label_dataset spends about 10% of its
+# CPU time in the kernel (630,000 faults in a 10-second process, 22,000
+# with them).
+GLIBC_TUNABLES = ":".join([
+    "glibc.malloc.mmap_threshold=268435456",
+    "glibc.malloc.trim_threshold=1073741824",
+    "glibc.malloc.top_pad=67108864",
+])
 
 
 def fail(msg):
@@ -59,41 +69,18 @@ def run_checked(cmd, timeout, **kw):
         return out
 
 
-def tree_stamp():
-    """Names, sizes and mtimes of every input of the build."""
-    h = hashlib.sha256()
-    for top in ("CMakeLists.txt", "cmake", "src", "perfbench"):
-        for dirpath, dirnames, files in os.walk(os.path.join(ROOT, top)):
-            dirnames.sort()
-            for name in sorted(files):
-                st = os.stat(os.path.join(dirpath, name))
-                h.update(f"{dirpath}/{name}:{st.st_size}:{st.st_mtime_ns}\n"
-                         .encode())
-        if os.path.isfile(os.path.join(ROOT, top)):
-            st = os.stat(os.path.join(ROOT, top))
-            h.update(f"{top}:{st.st_size}:{st.st_mtime_ns}\n".encode())
-    return h.hexdigest()
-
-
 def build(bdir):
-    """Configure and build the binary and write the model, unless neither
-    the tree nor the build directory changed since the last build (locked,
-    so concurrent first calls do not race)."""
+    """Configure (once) and build the binary, then write the model if the
+    binary is newer than it. Locked, so concurrent first calls do not race;
+    CMake's own dependency tracking decides what to rebuild."""
     if not (os.path.isfile(os.path.join(ROOT, "CMakeLists.txt"))
             and os.path.isdir(os.path.join(ROOT, "src"))):
         fail(f"{ROOT} is not a Concorde source tree (no CMakeLists.txt/src)")
     os.makedirs(bdir, exist_ok=True)
     binary = os.path.join(bdir, "concorde_perfbench")
     model = os.path.join(bdir, "perfbench_model.bin")
-    stamp_file = os.path.join(bdir, ".perfbench.stamp")
     with open(os.path.join(bdir, ".perfbench.lock"), "w") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
-        stamp = tree_stamp()
-        if os.path.isfile(binary) and os.path.isfile(model) \
-                and os.path.isfile(stamp_file):
-            with open(stamp_file) as f:
-                if f.read() == stamp:
-                    return binary, model
         if not os.path.isfile(os.path.join(bdir, "CMakeCache.txt")):
             run_checked(["cmake", "-S", os.path.join(ROOT, "perfbench"),
                          "-B", bdir, "-DCMAKE_BUILD_TYPE=Release"],
@@ -101,16 +88,17 @@ def build(bdir):
         run_checked(["cmake", "--build", bdir, "--target", "concorde_perfbench",
                      "-j", str(min(4, os.cpu_count() or 1))],
                     BUILD_TIMEOUT_S, stdout=sys.stderr)
-        tmp = model + ".tmp"
-        run_checked([binary, "--prepare", tmp], RUN_TIMEOUT_S)
-        os.replace(tmp, model)
-        with open(stamp_file, "w") as f:
-            f.write(stamp)
+        if not os.path.isfile(model) \
+                or os.path.getmtime(model) < os.path.getmtime(binary):
+            tmp = model + ".tmp"
+            run_checked([binary, "--prepare", tmp], RUN_TIMEOUT_S)
+            os.replace(tmp, model)
     return binary, model
 
 
 def run_bench(cmd):
-    out = run_checked(cmd, RUN_TIMEOUT_S, stdout=subprocess.PIPE, text=True)
+    out = run_checked(cmd, RUN_TIMEOUT_S, stdout=subprocess.PIPE, text=True,
+                      env=dict(os.environ, GLIBC_TUNABLES=GLIBC_TUNABLES))
     lines = out.strip().splitlines()
     if not lines:
         fail(f"no output from {' '.join(cmd)}")

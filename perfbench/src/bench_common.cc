@@ -64,21 +64,6 @@ benchPrograms()
     return programs;
 }
 
-std::vector<concorde::UarchParams>
-table1Points()
-{
-    std::vector<concorde::UarchParams> points;
-    const concorde::UarchParams base = concorde::UarchParams::armN1();
-    for (const concorde::ParamInfo &info : concorde::paramTable()) {
-        for (int64_t value : concorde::sweepValues(info.id, /*quantized=*/true)) {
-            concorde::UarchParams point = base;
-            point.set(info.id, value);
-            points.push_back(point);
-        }
-    }
-    return points;
-}
-
 size_t
 opsFor(double seconds, double ops_per_second, size_t min_ops,
        size_t multiple)

@@ -83,9 +83,6 @@ struct RunReport
  */
 const std::vector<int> &benchPrograms();
 
-/** Every quantized Table-1 point that differs from ARM N1 in one axis. */
-std::vector<concorde::UarchParams> table1Points();
-
 /**
  * Number of operations of a run: `seconds` at the workload's nominal
  * rate on the reference machine, at least `min_ops`, rounded up to a

@@ -41,8 +41,7 @@ usage()
                  "       concorde_perfbench --workload W --seed N "
                  "--seconds S --trace 0|1 --model MODEL\n"
                  "                          [--setup-only] [--spans FILE]\n"
-                 "workloads: dse_sweep program_cpi label_dataset "
-                 "serve_mixed\n");
+                 "workloads: program_cpi label_dataset serve_mixed\n");
     return 2;
 }
 
@@ -133,9 +132,7 @@ main(int argc, char **argv)
             return usage();
 
         RunReport report;
-        if (opt.workload == "dse_sweep")
-            runDseSweep(opt, report);
-        else if (opt.workload == "program_cpi")
+        if (opt.workload == "program_cpi")
             runProgramCpi(opt, report);
         else if (opt.workload == "label_dataset")
             runLabelDataset(opt, report);

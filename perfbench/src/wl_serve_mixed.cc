@@ -33,15 +33,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 
+#include "analysis/analysis_store.hh"
 #include "common/rng.hh"
 #include "core/model_artifact.hh"
 #include "serve/net_server.hh"
@@ -87,6 +90,8 @@ constexpr double kSloUs = 5000.0;
 constexpr size_t kCheckStride = 16;
 /** Cold checks per fresh provider (bounds the checker's memo growth). */
 constexpr size_t kChecksPerProvider = 16;
+/** Rows per GEMM call when a traced run replays the cold requests. */
+constexpr size_t kReplayBatch = 16;
 
 struct Request
 {
@@ -437,6 +442,67 @@ saturate(const Workload &w, size_t begin, size_t end,
     return secondsBetween(start, Clock::now());
 }
 
+/**
+ * Traced runs only: replay every cold open-loop request that came back
+ * OK through the layer calls of the service's miss path, each under a
+ * span -- FeatureProvider::assemble per row (analytical), then one
+ * predictCpiFromFeatures per kReplayBatch rows of a region (ml) -- and
+ * require each CPI to equal its reply bitwise. A region's trace and side
+ * analyses are built first, outside the spans, as the warmed service
+ * holds them.
+ */
+void
+replayColdPath(const Workload &w, size_t open_count,
+               const ConcordePredictor &predictor,
+               const std::vector<Reply> &replies,
+               std::vector<std::string> &mismatch, uint64_t &model_runs)
+{
+    std::vector<std::vector<size_t>> cold(w.regions.size());
+    for (size_t i = 0; i < open_count; ++i) {
+        if (!w.requests[i].hot && replies[i].answered
+            && replies[i].status == ServeStatus::OK)
+            cold[w.requests[i].region].push_back(i);
+    }
+    const size_t dim = predictor.layout().dim();
+    std::vector<float> features, row;
+    row.reserve(dim);
+    for (size_t g = 0; g < w.regions.size(); ++g) {
+        AnalysisStore store;
+        const std::shared_ptr<RegionAnalysis> analysis =
+            store.acquire(w.regions[g]);
+        for (const UarchParams &p : w.hotPoints)
+            analysis->analyzeAll(p.memory, p.branch);
+        FeatureProvider provider(analysis, predictor.featureConfig());
+        for (size_t b = 0; b < cold[g].size(); b += kReplayBatch) {
+            const size_t n = std::min(kReplayBatch, cold[g].size() - b);
+            Span batch("replay", cold[g][b], n);
+            features.assign(n * dim, 0.0f);
+            for (size_t k = 0; k < n; ++k) {
+                const size_t i = cold[g][b + k];
+                const size_t runs0 = provider.modelRuns();
+                {
+                    Span s("analytical.assemble", i, 1);
+                    row.clear();
+                    provider.assemble(w.requests[i].params, row);
+                }
+                model_runs += provider.modelRuns() - runs0;
+                std::copy(row.begin(), row.end(), features.begin() + k * dim);
+            }
+            std::vector<double> cpis;
+            {
+                Span s("ml.gemm", cold[g][b], n);
+                cpis = predictor.predictCpiFromFeatures(features, n, 1);
+            }
+            for (size_t k = 0; k < n; ++k) {
+                const size_t i = cold[g][b + k];
+                if (digestBits(&cpis[k], 1) != digestBits(&replies[i].cpi, 1))
+                    mismatch[i] = "cold reply differs from the replayed "
+                                  "assemble + GEMM";
+            }
+        }
+    }
+}
+
 QueueStats
 queueDelta(const QueueStats &a, const QueueStats &b)
 {
@@ -535,6 +601,10 @@ runServeMixed(const Options &opt, RunReport &report)
                 mismatch[i] = "cold reply differs from scalar predictCpi";
         }
     }
+    uint64_t model_runs = 0;
+    if (opt.trace)
+        replayColdPath(w, open_count, predictor, replies, mismatch,
+                       model_runs);
 
     report.attempted = w.requests.size();
     std::vector<double> latency_us, rtt_us, lag_us;
@@ -590,6 +660,16 @@ runServeMixed(const Options &opt, RunReport &report)
                static_cast<double>(enc.ns) / enc.work, "ns/frame", enc.work);
     report.add("wire.decode_ns_per_frame",
                static_cast<double>(dec.ns) / dec.work, "ns/frame", dec.work);
+    const SpanTotals assemble = totalsFor(spans, "analytical.assemble");
+    const SpanTotals gemm = totalsFor(spans, "ml.gemm");
+    report.add("analytical.assemble_us_per_row",
+               static_cast<double>(assemble.ns) / 1e3 / assemble.work,
+               "us/row", assemble.work);
+    report.add("analytical.model_runs_per_row",
+               static_cast<double>(model_runs) / assemble.work, "count",
+               assemble.work);
+    report.add("ml.gemm_ns_per_row", static_cast<double>(gemm.ns) / gemm.work,
+               "ns/row", gemm.work);
 
     const QueueStats q = queueDelta(before.queue, open_stats.queue);
     uint64_t rows = 0;
@@ -622,7 +702,7 @@ runServeMixed(const Options &opt, RunReport &report)
             / std::max<size_t>(1, traced_rtt_us.size()),
         std::accumulate(untraced_rtt_us.begin(), untraced_rtt_us.end(), 0.0)
             / std::max<size_t>(1, untraced_rtt_us.size()),
-        untracedShare(spans, {"op"}), traced_rtt_us.size());
+        untracedShare(spans, {"op", "replay"}), traced_rtt_us.size());
 }
 
 } // namespace perfbench

@@ -1,6 +1,6 @@
 /**
  * @file
- * The benchmark's four workloads. Each runs in its own process, does its
+ * The benchmark's three workloads. Each runs in its own process, does its
  * set-up, executes the fixed operation list its seed generates, checks
  * every output, and fills the report: end-to-end metrics in an untraced
  * run, per-layer metrics (from spans around each layer's public calls)
@@ -16,7 +16,6 @@
 namespace perfbench
 {
 
-void runDseSweep(const Options &options, RunReport &report);
 void runProgramCpi(const Options &options, RunReport &report);
 void runLabelDataset(const Options &options, RunReport &report);
 void runServeMixed(const Options &options, RunReport &report);

@@ -2,7 +2,7 @@
 """Steadiness check: run workloads repeatedly and report each metric's spread.
 
     python3 perfbench/steady.py [--runs 10] [--first-seed 1] [--seconds S]
-                                [--workloads dse_sweep,program_cpi]
+                                [--workloads program_cpi,label_dataset]
                                 [--out steady.json] [--compare old.json]
 
 Runs perfbench/run.py --trace 0 once per seed for every workload (one
@@ -99,8 +99,7 @@ def main():
             med = statistics.median(values)
             q1, _, q3 = statistics.quantiles(values, n=4)
             spread = (q3 - q1) / med if med else float("inf")
-            ok = "-" if name == "setup_s" else (
-                "yes" if spread < m["bound"] / 3 else "NO")
+            ok = "yes" if spread < m["bound"] / 3 else "NO"
             line = (f"{'*' if (workload, name) in WATCHED else ' '} "
                     f"{workload + '/' + name:40} {med:14.6g} {q1:14.6g} "
                     f"{q3:14.6g} {spread:7.2%} {m['bound']:6.2f} {ok:>3}")
