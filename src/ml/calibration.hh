@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/serialize.hh"
 
 namespace concorde
@@ -61,6 +62,31 @@ struct ConformalCalibration
     /** The (1-alpha) interval around a point prediction; lo >= 0. */
     void intervalAround(double point, double alpha, double &lo,
                         double &hi) const;
+
+    /**
+     * Fraction of `labels` inside the (1-alpha) interval around the
+     * matching `preds`, with the interval bounds rounded to float like
+     * the labels. 0 for an empty set. Defined inline: it is for
+     * evaluation only, and the serving library never links it.
+     */
+    double
+    coverage(const std::vector<float> &preds,
+             const std::vector<float> &labels, double alpha) const
+    {
+        panic_if(preds.size() != labels.size(),
+                 "coverage preds/labels size mismatch");
+        size_t covered = 0;
+        for (size_t i = 0; i < labels.size(); ++i) {
+            double lo = 0.0, hi = 0.0;
+            intervalAround(preds[i], alpha, lo, hi);
+            covered += labels[i] >= static_cast<float>(lo)
+                && labels[i] <= static_cast<float>(hi);
+        }
+        return labels.empty()
+            ? 0.0
+            : static_cast<double>(covered)
+                / static_cast<double>(labels.size());
+    }
 
     /**
      * Fraction of dimensions outside the calibration envelope, in

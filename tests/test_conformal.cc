@@ -18,7 +18,6 @@
 #include "common/serialize.hh"
 #include "core/model_artifact.hh"
 #include "ml/calibration.hh"
-#include "ml/conformal.hh"
 #include "ml/trainer.hh"
 
 namespace concorde
@@ -351,33 +350,6 @@ TEST(ConformalCalibration, ArtifactRoundTripAndV1Compatibility)
     std::remove(v2_path.c_str());
     std::remove(uncal_path.c_str());
     std::remove(v1_path.c_str());
-}
-
-// ---- ConformalPredictor wrapper over a shipped calibration ----
-
-TEST(ConformalPredictor, WrapperOverShippedCalibrationMatchesDirectFit)
-{
-    const size_t dim = 6;
-    auto [train_x, train_y] = syntheticDataset(600, dim, 93);
-    auto [cal_x, cal_y] = syntheticDataset(200, dim, 94);
-    TrainConfig config;
-    config.epochs = 5;
-    config.threads = 2;
-    TrainedModel model = trainMlp(train_x, train_y, dim, config);
-    TrainedModel copy = model;
-
-    const ConformalPredictor direct(std::move(model), cal_x, cal_y, dim);
-    const ConformalPredictor shipped(std::move(copy),
-                                     direct.calibration());
-    EXPECT_EQ(shipped.calibrationSize(), direct.calibrationSize());
-    for (size_t i = 0; i < 10; ++i) {
-        const auto a = direct.predictInterval(cal_x.data() + i * dim, 0.1);
-        const auto b =
-            shipped.predictInterval(cal_x.data() + i * dim, 0.1);
-        EXPECT_EQ(a.point, b.point);
-        EXPECT_EQ(a.lo, b.lo);
-        EXPECT_EQ(a.hi, b.hi);
-    }
 }
 
 } // anonymous namespace

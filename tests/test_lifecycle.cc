@@ -4,7 +4,7 @@
  * generation (bitwise resume), resumable training (bitwise resume of
  * the full optimizer state), versioned ModelArtifact round-trips,
  * registry hot-swap under concurrent load, and the CLI's strict
- * exit-code contract for the lifecycle subcommands.
+ * exit-code contract for every subcommand.
  */
 
 #include <gtest/gtest.h>
@@ -511,15 +511,19 @@ TEST(RegistryHotSwap, EveryPredictionAttributableToExactlyOneVersion)
         std::remove(path.c_str());
 }
 
-// ---- CLI exit-code contract for the lifecycle subcommands ----
+// ---- CLI exit-code contract for every subcommand ----
 
 #ifdef CONCORDE_CLI_PATH
 
+/**
+ * Exit status of the CLI on `args`. Every case here must fail fast, so a
+ * run that hangs or starts training is cut off (timeout exits 124).
+ */
 int
 cliExitCode(const std::string &args)
 {
-    const std::string cmd =
-        std::string(CONCORDE_CLI_PATH) + " " + args + " >/dev/null 2>&1";
+    const std::string cmd = "timeout 120 " + std::string(CONCORDE_CLI_PATH)
+        + " " + args + " >/dev/null 2>&1";
     const int status = std::system(cmd.c_str());
     EXPECT_NE(status, -1);
     return WEXITSTATUS(status);
@@ -546,6 +550,76 @@ TEST(CliExitCodes, LifecycleSubcommandsRejectMalformedFlags)
     EXPECT_EQ(cliExitCode("eval wat=1"), 2);
     // unknown subcommand keeps exiting 2 too
     EXPECT_EQ(cliExitCode("retrain"), 2);
+
+    // Every other subcommand: an unknown key, a malformed value, an
+    // out-of-range value and a missing required argument all exit 2
+    // before any model is loaded or trained.
+    EXPECT_EQ(cliExitCode("predict S7 bogus=1"), 2);
+    EXPECT_EQ(cliExitCode("predict S7 rob=abc"), 2);
+    EXPECT_EQ(cliExitCode("predict S7 rob=2000"), 2);
+    EXPECT_EQ(cliExitCode("predict S7 rob=-5"), 2);
+    EXPECT_EQ(cliExitCode("predict"), 2) << "missing <program>";
+    EXPECT_EQ(cliExitCode("predict NOPE"), 2);
+    EXPECT_EQ(cliExitCode("simulate S7 frob=1"), 2);
+    EXPECT_EQ(cliExitCode("simulate S7 l1d=big"), 2);
+    EXPECT_EQ(cliExitCode("simulate S7 l1d=8"), 2);
+    EXPECT_EQ(cliExitCode("simulate"), 2) << "missing <program>";
+    EXPECT_EQ(cliExitCode("attribute S7 8 bogus=1"), 2);
+    EXPECT_EQ(cliExitCode("attribute S7 bp=maybe"), 2);
+    EXPECT_EQ(cliExitCode("attribute S7 0"), 2);
+    EXPECT_EQ(cliExitCode("attribute S7 2000000"), 2);
+    EXPECT_EQ(cliExitCode("attribute S7 permutations=8"), 2)
+        << "the permutation count is positional only";
+    EXPECT_EQ(cliExitCode("attribute"), 2) << "missing <program>";
+    EXPECT_EQ(cliExitCode("sweep S7 rob wat=1"), 2);
+    EXPECT_EQ(cliExitCode("sweep S7 rob respawns=x"), 2);
+    EXPECT_EQ(cliExitCode("sweep S7 rob workers=-1"), 2);
+    EXPECT_EQ(cliExitCode("sweep S7 rob --model /tmp/x"), 2)
+        << "--model is serve's flag only";
+    EXPECT_EQ(cliExitCode("sweep S7"), 2) << "missing <param>";
+    EXPECT_EQ(cliExitCode("sweep-worker S7 rob part=0 nparts=2 "
+                          "out=/tmp/x bogus=1"), 2);
+    EXPECT_EQ(cliExitCode("sweep-worker S7 rob part=x nparts=2 "
+                          "out=/tmp/x"), 2);
+    EXPECT_EQ(cliExitCode("sweep-worker S7 rob part=0 nparts=0 "
+                          "out=/tmp/x"), 2);
+    EXPECT_EQ(cliExitCode("sweep-worker S7 rob part=0 out=/tmp/x"), 2)
+        << "missing nparts=";
+    EXPECT_EQ(cliExitCode("serve S7 bogus=1"), 2);
+    EXPECT_EQ(cliExitCode("serve S7 clients=abc"), 2);
+    EXPECT_EQ(cliExitCode("serve S7 alpha=abc"), 2);
+    EXPECT_EQ(cliExitCode("serve S7 clients=-1"), 2);
+    EXPECT_EQ(cliExitCode("serve S7 alpha=1"), 2);
+    EXPECT_EQ(cliExitCode("serve S7 listen=70000"), 2)
+        << "a port past 65535 must not wrap";
+    EXPECT_EQ(cliExitCode("serve S7 fallback=2"), 2) << "fallback is 0|1";
+    EXPECT_EQ(cliExitCode("serve S7 fallback_reject=2"), 2);
+    EXPECT_EQ(cliExitCode("serve S7 --model"), 2) << "missing the path";
+    EXPECT_EQ(cliExitCode("serve"), 2) << "missing <program>";
+    EXPECT_EQ(cliExitCode("pipeline S7 bogus=1"), 2);
+    EXPECT_EQ(cliExitCode("pipeline S7 mode=fast"), 2);
+    EXPECT_EQ(cliExitCode("pipeline S7 chunks=x"), 2);
+    EXPECT_EQ(cliExitCode("pipeline S7 chunks=0"), 2);
+    EXPECT_EQ(cliExitCode("pipeline S7 threads=-2"), 2);
+    EXPECT_EQ(cliExitCode("pipeline"), 2) << "missing <program>";
+    EXPECT_EQ(cliExitCode("dataset-worker out=/tmp/x shards=0 bogus=1"), 2);
+    EXPECT_EQ(cliExitCode("dataset-worker out=/tmp/x shards=0 "
+                          "samples=abc"), 2);
+    EXPECT_EQ(cliExitCode("dataset-worker out=/tmp/x shards=0 shard=0"), 2);
+    EXPECT_EQ(cliExitCode("dataset-worker out=/tmp/x shards=0 "
+                          "program=NOPE"), 2);
+    EXPECT_EQ(cliExitCode("dataset-worker shards=0"), 2) << "missing out=";
+    EXPECT_EQ(cliExitCode("list x"), 2) << "list takes no arguments";
+    EXPECT_EQ(cliExitCode("list bogus=1"), 2);
+    EXPECT_EQ(cliExitCode(""), 2) << "no subcommand prints the usage";
+
+    // Cross-option checks.
+    EXPECT_EQ(cliExitCode("pipeline S7 mode=service state=carry"), 2);
+    EXPECT_EQ(cliExitCode("pipeline S7 mode=service warmup=4"), 2);
+
+    // A missing model artifact is a missing file: exit 1, not 2.
+    EXPECT_EQ(cliExitCode("serve S7 --model /nonexistent"), 1);
+    EXPECT_EQ(cliExitCode("serve S7 model=/nonexistent"), 1);
 }
 
 #endif // CONCORDE_CLI_PATH

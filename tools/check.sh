@@ -2,7 +2,8 @@
 # Offline CI equivalent: mirrors .github/workflows/ci.yml for machines
 # without GitHub Actions.
 #
-#   stage 1  configure (warnings fatal) + build everything + full ctest
+#   stage 1  configure (warnings fatal) + build everything + CLI usage
+#            check + full ctest
 #   stage 2  ASan+UBSan build + full ctest        (SKIP_SANITIZE=1 skips)
 #   stage 3  bench smoke + perf-regression gates  (SKIP_BENCH=1 skips)
 #
@@ -18,6 +19,19 @@ echo "== stage 1: build (${BUILD_TYPE}, -Werror) + tests =="
 cmake -B build -S . -DCMAKE_BUILD_TYPE="$BUILD_TYPE" -DCONCORDE_WERROR=ON
 cmake --build build -j "$JOBS"
 cmake --build build --target bench -j "$JOBS"
+# The CLI's usage text is generated from its option tables: without
+# arguments it must exit 2 and print exactly the README's CLI block.
+status=0
+./build/concorde_cli 2> build/cli_usage.txt || status=$?
+[ "$status" -eq 2 ] || {
+    echo "FAIL: concorde_cli without arguments exited ${status}, not 2"
+    exit 1
+}
+awk '/^## CLI usage/ {s = 1} s && /^```/ {if (b) exit; b = 1; next} b' \
+    README.md | diff -u - build/cli_usage.txt || {
+    echo "FAIL: README CLI block differs from concorde_cli's usage text"
+    exit 1
+}
 # Golden tests run in their own labeled stage below, not twice.
 ctest --test-dir build -LE golden --output-on-failure -j "$JOBS"
 

@@ -1,61 +1,11 @@
 /**
  * @file
- * Command-line front end for the Concorde library.
- *
- *   concorde_cli predict <program> [param=value ...]
- *   concorde_cli sweep <program> <param> [param=value ...]
- *   concorde_cli attribute <program> [permutations] [param=value ...]
- *   concorde_cli simulate <program> [param=value ...]
- *   concorde_cli serve <program> [--model <artifact>] [clients=4
- *                                 requests=2000 batch=64 deadline_us=200
- *                                 cache=65536 burst=32 regions=4
- *                                 inflight=0 listen=<port>
- *                                 param=value ...]
- *   concorde_cli pipeline <program> [chunks=64 region=8 warmup=8 start=16
- *                                    threads=0 mode=sharded|scalar|service
- *                                    state=carry|independent
- *                                    param=value ...]
- *   concorde_cli dataset out=<dir> [samples=512 shard=128 chunks=8
- *                                   seed=99 threads=0 program=<code>
- *                                   max_shards=0 workers=0 respawns=3]
- *   concorde_cli dataset-worker out=<dir> shards=<i,j,...> [samples=
- *                                   shard= chunks= seed= threads=
- *                                   program=<code>]
- *   concorde_cli sweep-worker <program> <param> part=<w> nparts=<n>
- *                                   out=<file> [model=<artifact>
- *                                   param=value ...]
- *   concorde_cli train data=<dir|file> out=<artifact> [epochs=12 val=0.1
- *                                   batch=256 seed=1234 threads=0
- *                                   checkpoint=<file> max_epochs=0]
- *   concorde_cli eval model=<artifact> data=<dir|file>
- *   concorde_cli list
- *
- * The model lifecycle runs end to end through `dataset`, `train`, and
- * `eval`: `dataset` generates a sharded, resumable dataset directory
- * (kill it and rerun; completed shards are kept and the result is
- * bitwise-identical), `train` fits the MLP with a held-out validation
- * split and per-epoch checkpointing, and writes a versioned
- * ModelArtifact with provenance, and `eval` reports held-out relative
- * CPI error. `serve --model <artifact>` hot-loads such an artifact into
- * the serving registry.
- *
- * Multi-process scale-out: `dataset workers=N` and `sweep <program>
- * <param> workers=N out=<file>` fork N `dataset-worker` /
- * `sweep-worker` children, stride-partition the work across them,
- * respawn crashed workers (bounded by respawns=), and merge results
- * bitwise-identically to a 1-worker run. The worker subcommands are
- * the internal protocol and are usable standalone for external
- * schedulers.
- *
- * Programs are Table-2 codes (P1..P13, C1, C2, O1..O4, S1..S10).
- * Parameters use the short names printed by `list` (e.g. rob=256
- * l1d=128 bp=simple pct=10 pf=4). Unspecified parameters default to
- * ARM N1. Models and datasets are cached under artifacts/ (the first
- * invocation trains them).
- *
- * Unknown subcommands, unknown parameters, and malformed values all
- * exit with status 2 and a usage message, so shell scripts and CI can
- * rely on the exit code.
+ * Command-line front end for the Concorde library. Each subcommand's
+ * positional arguments and key=value options are declared once, in the
+ * option tables of commands(); the one parser (parseArgs) and the usage
+ * text (usage(), printed by running concorde_cli with no arguments)
+ * are generated from them. Bad input exits 2; a missing model, dataset
+ * or feedback file exits 1.
  */
 
 #include <unistd.h>
@@ -74,6 +24,7 @@
 #include <vector>
 
 #include "analysis/analysis_store.hh"
+#include "common/logging.hh"
 #include "common/process_pool.hh"
 #include "common/serialize.hh"
 #include "common/stopwatch.hh"
@@ -114,47 +65,6 @@ const std::map<std::string, ParamId> kShortNames = {
     {"pf", ParamId::PrefetchDegree},
 };
 
-int
-usage()
-{
-    std::fprintf(stderr,
-        "usage: concorde_cli <command> [args]\n"
-        "  predict <program> [param=value ...]\n"
-        "  sweep <program> <param> [workers= respawns= out=<file> "
-        "model=<artifact>\n"
-        "                   param=value ...]\n"
-        "  attribute <program> [permutations] [param=value ...]\n"
-        "  simulate <program> [param=value ...]\n"
-        "  serve <program> [--model <artifact>] [clients= requests= "
-        "batch=\n"
-        "                   deadline_us= cache= burst= regions= threads= "
-        "inflight=\n"
-        "                   listen=<port> alpha= max_width= fallback=0|1\n"
-        "                   fallback_budget= fallback_reject=0|1 "
-        "feedback=<file>\n"
-        "                   param=value ...]\n"
-        "  pipeline <program> [chunks= region= warmup= start= threads=\n"
-        "                      mode=sharded|scalar|service "
-        "state=carry|independent param=value ...]\n"
-        "  dataset out=<dir> [samples= shard= chunks= seed= threads= "
-        "program=<code>\n"
-        "                      max_shards= workers= respawns=]\n"
-        "  dataset-worker out=<dir> shards=<i,j,...> [samples= shard= "
-        "chunks= seed=\n"
-        "                      threads= program=<code>]\n"
-        "  sweep-worker <program> <param> part= nparts= out=<file> "
-        "[model=<artifact>\n"
-        "                      param=value ...]\n"
-        "  train data=<dir|file> out=<artifact> [epochs= val= batch= "
-        "seed= threads=\n"
-        "                      checkpoint=<file> max_epochs= "
-        "feedback=<file>]\n"
-        "  eval model=<artifact> data=<dir|file>\n"
-        "  list\n"
-        "run with 'list' for programs and parameter names\n");
-    return 2;
-}
-
 /** Strict double parse: the whole string must be a finite number. */
 bool
 parseDouble(const std::string &text, double &value)
@@ -180,51 +90,308 @@ parseInt(const std::string &text, int64_t &value)
     return end && *end == '\0' && errno != ERANGE;
 }
 
+// ---- option tables: one parser, one usage text ----
+
+/** The value type of a key=value option. */
+enum class Type
+{
+    Int,     ///< decimal integer in [lo, hi]
+    Double,  ///< finite number in [lo, hi]
+    Text,    ///< any non-empty string
+    Enum,    ///< one of the '|'-separated words in `help`; 0|1 for bools
+    Program, ///< a Table-2 program code
+};
+
+/** One key=value option of a subcommand. */
+struct Option
+{
+    std::string key;
+    Type type;
+    /** Default as text; nullptr = required, "" = unset unless given. */
+    const char *def;
+    /** Usage placeholder ("<dir>"), or an Enum's words. */
+    std::string help = "";
+    /** Inclusive range of an Int or Double value. */
+    double lo = 0.0;
+    double hi = HUGE_VAL;
+    /** The uarch parameter (ParamId) this option sets, or -1. */
+    int param = -1;
+};
+
+/** Positional arguments of a subcommand, in command-line order. */
+enum Head : unsigned
+{
+    kProgram = 1,      ///< <program>: a Table-2 program code
+    kParam = 2,        ///< <param>: the short name of the swept parameter
+    kPermutations = 4, ///< [permutations]: optional count in [1, 1000000]
+    kModelFlag = 8,    ///< [--model <artifact>]: same as model=<artifact>
+};
+
+struct Args;
+
+/** One subcommand: its positionals, its option table and its body. */
+struct Command
+{
+    const char *name;
+    unsigned head;
+    std::vector<Option> options;
+    int (*run)(const Args &);
+};
+
+/** A command line parsed against its Command's table. */
+struct Args
+{
+    const Command *cmd = nullptr;
+    const char *exe = "";                 ///< argv[0]
+    int pid = -1;                         ///< <program>
+    const char *code = "";                ///< <program> as given
+    ParamId param = ParamId::RobSize;     ///< <param>
+    const char *paramName = "";           ///< <param> as given
+    int permutations = 48;
+    /** ARM N1 with every given uarch parameter applied. */
+    UarchParams params = UarchParams::armN1();
+    /** The uarch param=value arguments as given, for sweep workers. */
+    std::vector<std::string> overrides;
+    /** Every key=value option given, validated, by key. */
+    std::map<std::string, std::string> given;
+
+    bool has(const std::string &key) const { return given.count(key) != 0; }
+
+    /** The given value of `key`, else its table default. */
+    std::string
+    text(const std::string &key) const
+    {
+        if (const auto it = given.find(key); it != given.end())
+            return it->second;
+        for (const Option &opt : cmd->options) {
+            if (opt.key == key)
+                return opt.def ? opt.def : "";
+        }
+        panic("'%s' has no option '%s'", cmd->name, key.c_str());
+    }
+
+    int64_t num(const std::string &key) const
+    {
+        return std::strtoll(text(key).c_str(), nullptr, 10);
+    }
+    double real(const std::string &key) const
+    {
+        return std::strtod(text(key).c_str(), nullptr);
+    }
+};
+
+/** `options` plus one row per uarch parameter, ranged by paramTable(). */
+std::vector<Option>
+withParams(std::vector<Option> options)
+{
+    for (const auto &[name, id] : kShortNames) {
+        const ParamInfo &info = paramTable()[static_cast<int>(id)];
+        const bool bp = id == ParamId::BranchPredictor;
+        options.push_back({name, bp ? Type::Enum : Type::Int, "",
+                           bp ? "simple|tage" : "",
+                           static_cast<double>(info.minValue),
+                           static_cast<double>(info.maxValue),
+                           static_cast<int>(id)});
+    }
+    return options;
+}
+
+constexpr size_t kUsageWidth = 76;
+
+/** The usage lines of one subcommand, generated from its table. */
+std::string
+usageOf(const Command &cmd)
+{
+    std::vector<std::string> words = {std::string("concorde_cli ")
+                                      + cmd.name};
+    if (cmd.head & kProgram)
+        words.push_back("<program>");
+    if (cmd.head & kParam)
+        words.push_back("<param>");
+    if (cmd.head & kPermutations)
+        words.push_back("[permutations]");
+    if (cmd.head & kModelFlag)
+        words.push_back("[--model <artifact>]");
+    std::vector<std::string> optional;
+    bool params = false;
+    for (const Option &opt : cmd.options) {
+        if (opt.param >= 0) {
+            params = true;
+            continue;
+        }
+        // Required options always carry a placeholder, so `def` is
+        // read only when it is set.
+        (opt.def ? optional : words)
+            .push_back(opt.key + "=" + (opt.help.empty() ? opt.def
+                                                         : opt.help));
+    }
+    if (params)
+        optional.push_back("param=value ...");
+    if (!optional.empty()) {
+        optional.front().insert(0, "[");
+        optional.back() += "]";
+        words.insert(words.end(), optional.begin(), optional.end());
+    }
+    std::string text, line = words[0];
+    for (size_t w = 1; w < words.size(); ++w) {
+        if (line.size() + 1 + words[w].size() > kUsageWidth) {
+            text += line + "\n";
+            line.assign(words[0].size(), ' ');
+        }
+        line += " " + words[w];
+    }
+    return text + line + "\n";
+}
+
+/** Report bad input and the usage of `cmd`; returns exit status 2. */
+int
+badInput(const Command &cmd, const std::string &message)
+{
+    std::fprintf(stderr, "%s\n%s", message.c_str(), usageOf(cmd).c_str());
+    return 2;
+}
+
+/** Index of `word` among the '|'-separated `words`, or -1. */
+int64_t
+wordIndex(const std::string &words, const std::string &word)
+{
+    size_t at = 0;
+    for (int64_t index = 0;; ++index) {
+        const size_t bar = words.find('|', at);
+        const size_t len = bar == std::string::npos ? bar : bar - at;
+        if (words.compare(at, len, word) == 0)
+            return index;
+        if (bar == std::string::npos)
+            return -1;
+        at = bar + 1;
+    }
+}
+
+/** What `opt` accepts, for diagnostics. */
+std::string
+domainOf(const Option &opt)
+{
+    if (opt.type == Type::Text)
+        return "a non-empty value";
+    if (opt.type == Type::Program)
+        return "a program code, see 'list'";
+    if (opt.type == Type::Enum)
+        return "one of " + opt.help;
+    const char *what = opt.type == Type::Int ? "an integer" : "a number";
+    char text[96];
+    if (std::isinf(opt.hi)) {
+        std::snprintf(text, sizeof(text), "%s >= %.15g", what, opt.lo);
+    } else {
+        std::snprintf(text, sizeof(text), "%s in [%.15g, %.15g]", what,
+                      opt.lo, opt.hi);
+    }
+    return text;
+}
+
 /**
- * Apply one param=value override. Returns false (with a diagnostic) on
- * an unknown parameter or malformed value.
+ * Check `value` against `opt`. `number` receives the value of an Int or
+ * the word index of an Enum.
  */
 bool
-applyOverride(UarchParams &params, const std::string &arg)
+validValue(const Option &opt, const std::string &value, int64_t &number)
 {
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-        std::fprintf(stderr, "malformed argument '%s' (expected "
-                     "param=value)\n", arg.c_str());
-        return false;
+    double real = 0.0;
+    switch (opt.type) {
+      case Type::Int:
+        return parseInt(value, number) && number >= opt.lo
+            && number <= opt.hi;
+      case Type::Double:
+        return parseDouble(value, real) && real >= opt.lo
+            && real <= opt.hi;
+      case Type::Text:
+        return !value.empty();
+      case Type::Enum:
+        number = wordIndex(opt.help, value);
+        return number >= 0;
+      case Type::Program:
+        return programIdByCode(value) >= 0;
     }
-    const std::string key = arg.substr(0, eq);
-    const std::string value = arg.substr(eq + 1);
-    const auto it = kShortNames.find(key);
-    if (it == kShortNames.end()) {
-        std::fprintf(stderr, "unknown parameter '%s'\n", key.c_str());
-        return false;
-    }
-    if (it->second == ParamId::BranchPredictor) {
-        if (value != "tage" && value != "simple") {
-            std::fprintf(stderr, "bad bp value '%s' (tage|simple)\n",
-                         value.c_str());
-            return false;
+    return false;
+}
+
+/**
+ * Parse argv[2..] against `cmd`'s positionals and option table into
+ * `args`. Returns 0, or 2 after reporting the first bad argument.
+ */
+int
+parseArgs(const Command &cmd, int argc, char **argv, Args &args)
+{
+    args.cmd = &cmd;
+    args.exe = argv[0];
+    int i = 2;
+    if (cmd.head & kProgram) {
+        if (i >= argc)
+            return badInput(cmd, "missing <program>");
+        args.code = argv[i];
+        args.pid = programIdByCode(argv[i++]);
+        if (args.pid < 0) {
+            return badInput(cmd, std::string("unknown program '")
+                            + args.code + "'");
         }
-        params.set(it->second, value == "tage" ? 1 : 0);
-        return true;
     }
-    int64_t parsed = 0;
-    if (!parseInt(value, parsed)) {
-        std::fprintf(stderr, "bad value '%s' for parameter '%s'\n",
-                     value.c_str(), key.c_str());
-        return false;
+    if (cmd.head & kParam) {
+        if (i >= argc)
+            return badInput(cmd, "missing <param>");
+        const auto it = kShortNames.find(argv[i]);
+        if (it == kShortNames.end()) {
+            return badInput(cmd, std::string("unknown parameter '")
+                            + argv[i] + "'");
+        }
+        args.param = it->second;
+        args.paramName = argv[i++];
     }
-    const ParamInfo &info = paramTable()[static_cast<int>(it->second)];
-    if (parsed < info.minValue || parsed > info.maxValue) {
-        std::fprintf(stderr, "value %lld for '%s' outside [%lld, %lld]\n",
-                     static_cast<long long>(parsed), key.c_str(),
-                     static_cast<long long>(info.minValue),
-                     static_cast<long long>(info.maxValue));
-        return false;
+    int64_t count = 0;
+    if ((cmd.head & kPermutations) && i < argc && parseInt(argv[i], count)) {
+        if (count < 1 || count > 1000000)
+            return badInput(cmd, "permutations must be in [1, 1000000]");
+        args.permutations = static_cast<int>(count);
+        ++i;
     }
-    params.set(it->second, parsed);
-    return true;
+    for (; i < argc; ++i) {
+        std::string arg = argv[i];
+        if ((cmd.head & kModelFlag) && arg == "--model") {
+            if (++i >= argc)
+                return badInput(cmd, "--model needs an artifact path");
+            arg = std::string("model=") + argv[i];
+        }
+        const size_t eq = arg.find('=');
+        const std::string key = arg.substr(0, eq);
+        const auto opt = std::find_if(
+            cmd.options.begin(), cmd.options.end(),
+            [&](const Option &o) { return o.key == key; });
+        if (opt == cmd.options.end())
+            return badInput(cmd, "unknown option '" + key + "'");
+        const std::string value =
+            eq == std::string::npos ? "" : arg.substr(eq + 1);
+        int64_t number = 0;
+        if (eq == std::string::npos || !validValue(*opt, value, number)) {
+            return badInput(cmd, "bad value '" + value + "' for '" + key
+                            + "' (need " + domainOf(*opt) + ")");
+        }
+        args.given[key] = value;
+        if (opt->param >= 0) {
+            args.params.set(static_cast<ParamId>(opt->param), number);
+            args.overrides.push_back(arg);
+        }
+    }
+    for (const Option &opt : cmd.options) {
+        if (!opt.def && !args.has(opt.key))
+            return badInput(cmd, "missing " + opt.key + "=" + opt.help);
+    }
+    return 0;
+}
+
+/** Exit status 1 for a named input file that does not exist. */
+int
+missingFile(const char *what, const std::string &path)
+{
+    std::fprintf(stderr, "%s '%s' not found\n", what, path.c_str());
+    return 1;
 }
 
 RegionSpec
@@ -238,79 +405,6 @@ regionFor(int pid)
     return spec;
 }
 
-/**
- * Split args into serve-layer options (consumed into `options`,
- * `double_options`, `string_options`) and uarch overrides (applied to
- * `params`). `--model <path>` / `model=<path>` is consumed into
- * `model_path` when given. Returns false on any unknown key or
- * malformed value.
- */
-bool
-parseServeArgs(int argc, char **argv, int first,
-               std::map<std::string, int64_t> &options, UarchParams &params,
-               std::string *model_path,
-               std::map<std::string, double> *double_options = nullptr,
-               std::map<std::string, std::string> *string_options = nullptr)
-{
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (model_path && arg == "--model") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--model needs an artifact path\n");
-                return false;
-            }
-            *model_path = argv[++i];
-            continue;
-        }
-        const auto eq = arg.find('=');
-        const std::string key =
-            eq == std::string::npos ? arg : arg.substr(0, eq);
-        if (model_path && key == "model") {
-            if (eq == std::string::npos || eq + 1 == arg.size()) {
-                std::fprintf(stderr, "bad value for serve option "
-                             "'model'\n");
-                return false;
-            }
-            *model_path = arg.substr(eq + 1);
-            continue;
-        }
-        if (options.count(key)) {
-            int64_t value = 0;
-            if (eq == std::string::npos
-                || !parseInt(arg.substr(eq + 1), value) || value < 0) {
-                std::fprintf(stderr, "bad value for serve option '%s'\n",
-                             key.c_str());
-                return false;
-            }
-            options[key] = value;
-            continue;
-        }
-        if (double_options && double_options->count(key)) {
-            double value = 0.0;
-            if (eq == std::string::npos
-                || !parseDouble(arg.substr(eq + 1), value) || value < 0.0) {
-                std::fprintf(stderr, "bad value for serve option '%s'\n",
-                             key.c_str());
-                return false;
-            }
-            (*double_options)[key] = value;
-            continue;
-        }
-        if (string_options && string_options->count(key)) {
-            if (eq == std::string::npos || eq + 1 == arg.size()) {
-                std::fprintf(stderr, "bad value for serve option '%s'\n",
-                             key.c_str());
-                return false;
-            }
-            (*string_options)[key] = arg.substr(eq + 1);
-            continue;
-        }
-        if (!applyOverride(params, arg))
-            return false;
-    }
-    return true;
-}
-
 std::atomic<bool> g_stopServing{false};
 
 void
@@ -320,39 +414,19 @@ onStopSignal(int)
 }
 
 int
-runServe(int pid, const char *code, int argc, char **argv)
+runServe(const Args &a)
 {
-    std::map<std::string, int64_t> opt = {
-        {"clients", 4},   {"requests", 2000}, {"batch", 64},
-        {"deadline_us", 200}, {"cache", 65536}, {"burst", 32},
-        {"regions", 4},   {"threads", 0},     {"listen", -1},
-        {"inflight", 0},  {"fallback", 0},    {"fallback_budget", 2},
-        {"fallback_reject", 0},
-    };
-    std::map<std::string, double> dopt = {
-        {"alpha", 0.1}, {"max_width", 0.0},
-    };
-    std::map<std::string, std::string> sopt = {
-        {"feedback", ""},
-    };
-    UarchParams base = UarchParams::armN1();
-    std::string model_path;
-    if (!parseServeArgs(argc, argv, 3, opt, base, &model_path, &dopt,
-                        &sopt))
-        return usage();
-    if (dopt["alpha"] <= 0.0 || dopt["alpha"] >= 1.0) {
-        std::fprintf(stderr, "alpha must be in (0, 1)\n");
-        return usage();
-    }
-    const size_t clients = std::max<int64_t>(1, opt["clients"]);
-    const size_t requests = std::max<int64_t>(1, opt["requests"]);
-    const size_t num_regions = std::max<int64_t>(1, opt["regions"]);
-    const size_t burst = std::max<int64_t>(1, opt["burst"]);
+    if (a.real("alpha") <= 0.0 || a.real("alpha") >= 1.0)
+        return badInput(*a.cmd, "alpha must be in (0, 1)");
+    const size_t clients = std::max<int64_t>(1, a.num("clients"));
+    const size_t requests = std::max<int64_t>(1, a.num("requests"));
+    const size_t num_regions = std::max<int64_t>(1, a.num("regions"));
+    const size_t burst = std::max<int64_t>(1, a.num("burst"));
 
     serve::ServeConfig config;
     const size_t maxBatch =
-        static_cast<size_t>(std::max<int64_t>(1, opt["batch"]));
-    const auto maxAge = std::chrono::microseconds(opt["deadline_us"]);
+        static_cast<size_t>(std::max<int64_t>(1, a.num("batch")));
+    const auto maxAge = std::chrono::microseconds(a.num("deadline_us"));
     // The batch/deadline knobs set the bulk (throughput) class; the
     // interactive class stays on small, young batches so the tail is
     // never gated on filling a bulk-sized batch.
@@ -361,29 +435,27 @@ runServe(int pid, const char *code, int argc, char **argv)
         std::max<size_t>(1, maxBatch / 4),
         std::min(maxAge, std::chrono::microseconds(50))};
     config.batching.maxInFlightPerKey =
-        static_cast<size_t>(opt["inflight"]);
-    config.cacheCapacity = static_cast<size_t>(opt["cache"]);
-    config.poolThreads = opt["threads"] == 0
-        ? defaultThreads() : static_cast<size_t>(opt["threads"]);
-    config.uncertainty.alpha = dopt["alpha"];
-    config.uncertainty.maxRelWidth = dopt["max_width"];
-    config.uncertainty.fallbackEnabled = opt["fallback"] != 0;
+        static_cast<size_t>(a.num("inflight"));
+    config.cacheCapacity = static_cast<size_t>(a.num("cache"));
+    config.poolThreads = a.num("threads") == 0
+        ? defaultThreads() : static_cast<size_t>(a.num("threads"));
+    config.uncertainty.alpha = a.real("alpha");
+    config.uncertainty.maxRelWidth = a.real("max_width");
+    config.uncertainty.fallbackEnabled = a.num("fallback") != 0;
     config.uncertainty.maxFallbackInFlight =
-        static_cast<size_t>(opt["fallback_budget"]);
-    config.uncertainty.rejectOnBudget = opt["fallback_reject"] != 0;
-    config.uncertainty.feedbackPath = sopt["feedback"];
+        static_cast<size_t>(a.num("fallback_budget"));
+    config.uncertainty.rejectOnBudget = a.num("fallback_reject") != 0;
+    config.uncertainty.feedbackPath = a.text("feedback");
 
     serve::PredictionService service(config);
+    const std::string model_path = a.text("model");
     if (model_path.empty()) {
         service.registry().add(
             "default", ConcordePredictor(artifacts::fullModel(),
                                          artifacts::featureConfig()));
     } else {
-        if (!fileExists(model_path)) {
-            std::fprintf(stderr, "model artifact '%s' not found\n",
-                         model_path.c_str());
-            return 1;
-        }
+        if (!fileExists(model_path))
+            return missingFile("model artifact", model_path);
         const serve::ModelHandle handle =
             service.loadModel("default", model_path);
         std::printf("loaded artifact %s (trained %llu epochs, held-out "
@@ -414,12 +486,12 @@ runServe(int pid, const char *code, int argc, char **argv)
     // of the program (warm regions are the serving common case).
     std::vector<RegionSpec> regions;
     for (size_t r = 0; r < num_regions; ++r) {
-        RegionSpec spec = regionFor(pid);
+        RegionSpec spec = regionFor(a.pid);
         spec.startChunk = 16 + 8 * r;
         regions.push_back(spec);
     }
     std::printf("serving %s: %zu clients x %zu requests, bulk<=%zu/"
-                "%lldus, interactive<=%zu/%lldus, cache %zu\n", code,
+                "%lldus, interactive<=%zu/%lldus, cache %zu\n", a.code,
                 clients, requests,
                 config.batching.policy(serve::RequestClass::Bulk).maxBatch,
                 static_cast<long long>(
@@ -435,13 +507,14 @@ runServe(int pid, const char *code, int argc, char **argv)
     // Warm path: build the region analyses and provider state, and
     // pre-answer the base point, so the measured phase (or the first
     // network client) sees steady-state serving.
+    const UarchParams &base = a.params;
     (void)service.warmRegions("default", regions, {base});
 
-    if (opt["listen"] >= 0) {
+    if (a.has("listen")) {
         // Network mode: expose the warmed service over the wire
         // protocol and block until SIGINT/SIGTERM.
         serve::NetServerConfig netCfg;
-        netCfg.port = static_cast<uint16_t>(opt["listen"]);
+        netCfg.port = static_cast<uint16_t>(a.num("listen"));
         serve::NetServer server(service, netCfg);
         server.start();
         std::printf("listening on %s:%u (ctrl-c to stop)\n",
@@ -581,102 +654,47 @@ runServe(int pid, const char *code, int argc, char **argv)
 }
 
 int
-runPipeline(int pid, const char *code, int argc, char **argv)
+runPipeline(const Args &a)
 {
-    std::map<std::string, int64_t> opt = {
-        {"chunks", 64}, {"region", 8}, {"warmup", 8}, {"start", 16},
-        {"threads", 0},
-    };
-    std::string mode = "sharded";
-    std::string state;      // default: carry (independent for service)
-    bool warmup_set = false;
-    UarchParams params = UarchParams::armN1();
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto eq = arg.find('=');
-        const std::string key =
-            eq == std::string::npos ? arg : arg.substr(0, eq);
-        if (key == "mode" || key == "state") {
-            if (eq == std::string::npos)
-                return usage();
-            const std::string value = arg.substr(eq + 1);
-            if (key == "mode") {
-                if (value != "scalar" && value != "sharded"
-                    && value != "service") {
-                    std::fprintf(stderr, "bad mode '%s' (scalar|sharded|"
-                                 "service)\n", value.c_str());
-                    return 2;
-                }
-                mode = value;
-            } else {
-                if (value != "independent" && value != "carry") {
-                    std::fprintf(stderr, "bad state '%s' (independent|"
-                                 "carry)\n", value.c_str());
-                    return 2;
-                }
-                state = value;
-            }
-            continue;
-        }
-        if (opt.count(key)) {
-            int64_t value = 0;
-            if (eq == std::string::npos
-                || !parseInt(arg.substr(eq + 1), value) || value < 0) {
-                std::fprintf(stderr, "bad value for pipeline option "
-                             "'%s'\n", key.c_str());
-                return 2;
-            }
-            opt[key] = value;
-            if (key == "warmup")
-                warmup_set = true;
-            continue;
-        }
-        if (!applyOverride(params, arg))
-            return 2;
-    }
-    if (opt["chunks"] < 1 || opt["region"] < 1) {
-        std::fprintf(stderr, "chunks and region must be positive\n");
-        return 2;
-    }
+    const std::string mode = a.text("mode");
     // The service endpoint serves independent regions with the default
     // warmup convention; only reject options the user explicitly set.
-    if (state.empty())
-        state = mode == "service" ? "independent" : "carry";
+    const std::string state = a.has("state") ? a.text("state")
+        : mode == "service" ? "independent" : "carry";
     if (mode == "service" && state == "carry") {
-        std::fprintf(stderr, "the service endpoint serves independent "
-                     "regions; use state=independent\n");
-        return 2;
+        return badInput(*a.cmd, "the service endpoint serves independent "
+                        "regions; use state=independent");
     }
-    if (mode == "service" && warmup_set
-        && opt["warmup"] != kDefaultWarmupChunks) {
-        std::fprintf(stderr, "the service endpoint always uses the "
-                     "default warmup (%u chunks); warmup= applies to "
-                     "scalar/sharded modes\n", kDefaultWarmupChunks);
-        return 2;
+    if (mode == "service" && a.has("warmup")
+        && a.num("warmup") != kDefaultWarmupChunks) {
+        return badInput(*a.cmd, "the service endpoint always uses the "
+                        "default warmup (" + std::to_string(
+                            kDefaultWarmupChunks) + " chunks); warmup= "
+                        "applies to scalar/sharded modes");
     }
 
     TraceSpan span;
-    span.programId = pid;
+    span.programId = a.pid;
     span.traceId = 0;
-    span.startChunk = static_cast<uint64_t>(opt["start"]);
-    span.numChunks = static_cast<uint64_t>(opt["chunks"]);
+    span.startChunk = static_cast<uint64_t>(a.num("start"));
+    span.numChunks = static_cast<uint64_t>(a.num("chunks"));
 
     pipeline::PipelineConfig config;
-    config.regionChunks = static_cast<uint32_t>(opt["region"]);
-    config.warmupChunks = static_cast<uint32_t>(opt["warmup"]);
+    config.regionChunks = static_cast<uint32_t>(a.num("region"));
+    config.warmupChunks = static_cast<uint32_t>(a.num("warmup"));
     config.mode = mode == "scalar" ? pipeline::ExecMode::Scalar
         : pipeline::ExecMode::Sharded;
     config.state = state == "carry" ? pipeline::StateMode::Carry
         : pipeline::StateMode::Independent;
-    config.threads = static_cast<size_t>(opt["threads"]);
+    config.threads = static_cast<size_t>(a.num("threads"));
 
     ConcordePredictor predictor(artifacts::fullModel(),
                                 artifacts::featureConfig());
     std::printf("pipeline over %s: %llu chunks (%.1fk instructions), "
-                "regions of %lld chunks, mode %s/%s\n", code,
+                "regions of %lld chunks, mode %s/%s\n", a.code,
                 static_cast<unsigned long long>(span.numChunks),
                 static_cast<double>(span.numInstructions()) / 1000.0,
-                static_cast<long long>(opt["region"]), mode.c_str(),
+                static_cast<long long>(a.num("region")), mode.c_str(),
                 state.c_str());
 
     // Independent-state runs share region analyses with the rest of the
@@ -691,10 +709,10 @@ runPipeline(int pid, const char *code, int argc, char **argv)
         serve::PredictionService service(sc);
         service.registry().add("default", std::move(predictor));
         result = service.predictSpan("default", span, config.regionChunks,
-                                     params);
+                                     a.params);
     } else {
         pipeline::AnalysisPipeline pipe(predictor, config);
-        result = pipe.run(span, params);
+        result = pipe.run(span, a.params);
     }
 
     std::printf("  program CPI %.4f over %zu regions (%llu "
@@ -807,88 +825,41 @@ parseShardList(const std::string &text, std::vector<size_t> &shards)
     return !shards.empty();
 }
 
-int
-runDataset(int argc, char **argv)
+/** The DatasetConfig of a `dataset` or `dataset-worker` command line. */
+DatasetConfig
+datasetConfig(const Args &a)
 {
-    std::map<std::string, int64_t> opt = {
-        {"samples", 512}, {"shard", 128}, {"chunks", 8}, {"seed", 99},
-        {"threads", 0},   {"max_shards", 0}, {"workers", 0},
-        {"respawns", 3},
-    };
-    std::string out_dir;
-    std::string program;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto eq = arg.find('=');
-        if (eq == std::string::npos || eq + 1 == arg.size()) {
-            std::fprintf(stderr, "malformed argument '%s' (expected "
-                         "key=value)\n", arg.c_str());
-            return usage();
-        }
-        const std::string key = arg.substr(0, eq);
-        const std::string value = arg.substr(eq + 1);
-        if (key == "out") {
-            out_dir = value;
-            continue;
-        }
-        if (key == "program") {
-            program = value;
-            continue;
-        }
-        const auto it = opt.find(key);
-        int64_t parsed = 0;
-        if (it == opt.end()) {
-            std::fprintf(stderr, "unknown dataset option '%s'\n",
-                         key.c_str());
-            return usage();
-        }
-        if (!parseInt(value, parsed) || parsed < 0) {
-            std::fprintf(stderr, "bad value '%s' for dataset option "
-                         "'%s'\n", value.c_str(), key.c_str());
-            return usage();
-        }
-        it->second = parsed;
-    }
-    if (out_dir.empty()) {
-        std::fprintf(stderr, "dataset requires out=<dir>\n");
-        return usage();
-    }
-    if (opt["samples"] < 1 || opt["shard"] < 1 || opt["chunks"] < 1) {
-        std::fprintf(stderr, "samples, shard, and chunks must be "
-                     "positive\n");
-        return usage();
-    }
-
     DatasetConfig config;
-    config.numSamples = static_cast<size_t>(opt["samples"]);
-    config.regionChunks = static_cast<uint32_t>(opt["chunks"]);
-    config.seed = static_cast<uint64_t>(opt["seed"]);
+    config.numSamples = static_cast<size_t>(a.num("samples"));
+    config.regionChunks = static_cast<uint32_t>(a.num("chunks"));
+    config.seed = static_cast<uint64_t>(a.num("seed"));
     config.features = artifacts::featureConfig();
-    config.threads = static_cast<size_t>(opt["threads"]);
-    if (!program.empty()) {
-        const int pid = programIdByCode(program);
-        if (pid < 0) {
-            std::fprintf(stderr, "unknown program '%s'\n",
-                         program.c_str());
-            return 2;
-        }
-        config.programFilter = {pid};
-    }
+    config.threads = static_cast<size_t>(a.num("threads"));
+    if (a.has("program"))
+        config.programFilter = {programIdByCode(a.text("program"))};
+    return config;
+}
 
-    if (opt["workers"] > 0) {
-        if (opt["max_shards"] > 0) {
-            std::fprintf(stderr, "max_shards= bounds one in-process run; "
-                         "it does not combine with workers=\n");
-            return usage();
-        }
+int
+runDataset(const Args &a)
+{
+    if (a.num("workers") > 0 && a.num("max_shards") > 0) {
+        return badInput(*a.cmd, "max_shards= bounds one in-process run; "
+                        "it does not combine with workers=");
+    }
+    const DatasetConfig config = datasetConfig(a);
+    const std::string out_dir = a.text("out");
+    const size_t shard_size = static_cast<size_t>(a.num("shard"));
+
+    if (a.num("workers") > 0) {
         // Supervisor: plan the build serially (manifest + crash-debris
         // repair), stride-partition the missing shards across a worker
         // pool, and respawn any worker that dies until the directory is
         // complete or the respawn budget runs out. Workers resume from
         // published shards, so a respawn never redoes finished work.
         Stopwatch timer;
-        const DatasetManifest manifest = ensureDatasetManifest(
-            config, out_dir, static_cast<size_t>(opt["shard"]));
+        const DatasetManifest manifest =
+            ensureDatasetManifest(config, out_dir, shard_size);
         repairDatasetDir(out_dir, manifest);
         const std::vector<size_t> missing =
             missingDatasetShards(out_dir, manifest);
@@ -900,8 +871,8 @@ runDataset(int argc, char **argv)
             return 0;
         }
         const size_t n = std::min<size_t>(
-            static_cast<size_t>(opt["workers"]), missing.size());
-        const std::string exe = selfExePath(argv[0]);
+            static_cast<size_t>(a.num("workers")), missing.size());
+        const std::string exe = selfExePath(a.exe);
         std::vector<std::vector<std::string>> argvs(n);
         for (size_t w = 0; w < n; ++w) {
             std::string shards_arg;
@@ -910,14 +881,14 @@ runDataset(int argc, char **argv)
                     shards_arg.push_back(',');
                 shards_arg += std::to_string(missing[i]);
             }
-            argvs[w] = {exe, "dataset-worker", "out=" + out_dir,
-                        "samples=" + std::to_string(opt["samples"]),
-                        "shard=" + std::to_string(opt["shard"]),
-                        "chunks=" + std::to_string(opt["chunks"]),
-                        "seed=" + std::to_string(opt["seed"]),
-                        "threads=" + std::to_string(opt["threads"])};
-            if (!program.empty())
-                argvs[w].push_back("program=" + program);
+            argvs[w] = {exe, "dataset-worker", "out=" + out_dir};
+            for (const char *key :
+                 {"samples", "shard", "chunks", "seed", "threads"}) {
+                argvs[w].push_back(std::string(key) + "="
+                                   + std::to_string(a.num(key)));
+            }
+            if (a.has("program"))
+                argvs[w].push_back("program=" + a.text("program"));
             argvs[w].push_back("shards=" + shards_arg);
         }
         std::printf("dataset %s: %zu missing shards across %zu "
@@ -925,7 +896,7 @@ runDataset(int argc, char **argv)
         std::fflush(stdout);
         ProcessPool pool;
         const bool ok = pool.superviseAll(
-            argvs, static_cast<size_t>(opt["respawns"]));
+            argvs, static_cast<size_t>(a.num("respawns")));
         const std::vector<size_t> still_missing =
             missingDatasetShards(out_dir, manifest);
         if (!ok || !still_missing.empty()) {
@@ -943,8 +914,8 @@ runDataset(int argc, char **argv)
 
     Stopwatch timer;
     const ShardedBuildResult result = buildDatasetShards(
-        config, out_dir, static_cast<size_t>(opt["shard"]),
-        static_cast<size_t>(opt["max_shards"]));
+        config, out_dir, shard_size,
+        static_cast<size_t>(a.num("max_shards")));
     std::printf("dataset %s: %zu shards built, %zu resumed from disk "
                 "(%.1fs)\n", out_dir.c_str(), result.shardsBuilt,
                 result.shardsSkipped, timer.seconds());
@@ -954,8 +925,8 @@ runDataset(int argc, char **argv)
     } else {
         std::printf("  complete: %lld samples of %lld chunks, manifest "
                     "hash %016llx\n",
-                    static_cast<long long>(opt["samples"]),
-                    static_cast<long long>(opt["chunks"]),
+                    static_cast<long long>(a.num("samples")),
+                    static_cast<long long>(a.num("chunks")),
                     static_cast<unsigned long long>(
                         datasetManifestHash(out_dir)));
     }
@@ -969,85 +940,16 @@ runDataset(int argc, char **argv)
  * skipped), so a respawned worker converges instead of redoing work.
  */
 int
-runDatasetWorker(int argc, char **argv)
+runDatasetWorker(const Args &a)
 {
-    std::map<std::string, int64_t> opt = {
-        {"samples", 512}, {"shard", 128}, {"chunks", 8}, {"seed", 99},
-        {"threads", 0},
-    };
-    std::string out_dir, program, shards_arg;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto eq = arg.find('=');
-        if (eq == std::string::npos || eq + 1 == arg.size()) {
-            std::fprintf(stderr, "malformed argument '%s' (expected "
-                         "key=value)\n", arg.c_str());
-            return usage();
-        }
-        const std::string key = arg.substr(0, eq);
-        const std::string value = arg.substr(eq + 1);
-        if (key == "out") {
-            out_dir = value;
-            continue;
-        }
-        if (key == "program") {
-            program = value;
-            continue;
-        }
-        if (key == "shards") {
-            shards_arg = value;
-            continue;
-        }
-        const auto it = opt.find(key);
-        int64_t parsed = 0;
-        if (it == opt.end()) {
-            std::fprintf(stderr, "unknown dataset-worker option '%s'\n",
-                         key.c_str());
-            return usage();
-        }
-        if (!parseInt(value, parsed) || parsed < 0) {
-            std::fprintf(stderr, "bad value '%s' for dataset-worker "
-                         "option '%s'\n", value.c_str(), key.c_str());
-            return usage();
-        }
-        it->second = parsed;
-    }
-    if (out_dir.empty() || shards_arg.empty()) {
-        std::fprintf(stderr, "dataset-worker requires out=<dir> and "
-                     "shards=<i,j,...>\n");
-        return usage();
-    }
     std::vector<size_t> shards;
-    if (!parseShardList(shards_arg, shards)) {
-        std::fprintf(stderr, "bad shard list '%s'\n", shards_arg.c_str());
-        return usage();
-    }
-    if (opt["samples"] < 1 || opt["shard"] < 1 || opt["chunks"] < 1) {
-        std::fprintf(stderr, "samples, shard, and chunks must be "
-                     "positive\n");
-        return usage();
-    }
-
-    DatasetConfig config;
-    config.numSamples = static_cast<size_t>(opt["samples"]);
-    config.regionChunks = static_cast<uint32_t>(opt["chunks"]);
-    config.seed = static_cast<uint64_t>(opt["seed"]);
-    config.features = artifacts::featureConfig();
-    config.threads = static_cast<size_t>(opt["threads"]);
-    if (!program.empty()) {
-        const int pid = programIdByCode(program);
-        if (pid < 0) {
-            std::fprintf(stderr, "unknown program '%s'\n",
-                         program.c_str());
-            return 2;
-        }
-        config.programFilter = {pid};
-    }
+    if (!parseShardList(a.text("shards"), shards))
+        return badInput(*a.cmd, "bad shard list '" + a.text("shards") + "'");
 
     const size_t crash_after = crashAfterShardsEnv();
     const ShardedBuildResult result = buildDatasetShardSet(
-        config, out_dir, static_cast<size_t>(opt["shard"]), shards,
-        crash_after);
+        datasetConfig(a), a.text("out"),
+        static_cast<size_t>(a.num("shard")), shards, crash_after);
     if (crash_after > 0 && !result.complete()) {
         // Injected crash (see crashAfterShardsEnv): die abruptly, the
         // way a real worker loss looks to the supervisor.
@@ -1057,78 +959,20 @@ runDatasetWorker(int argc, char **argv)
 }
 
 int
-runTrain(int argc, char **argv)
+runTrain(const Args &a)
 {
-    std::map<std::string, int64_t> opt = {
-        {"epochs", 12}, {"batch", 256}, {"seed", 1234}, {"threads", 0},
-        {"max_epochs", 0},
-    };
-    std::string data_path, out_path, checkpoint, feedback_path;
-    double val_fraction = 0.1;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto eq = arg.find('=');
-        if (eq == std::string::npos || eq + 1 == arg.size()) {
-            std::fprintf(stderr, "malformed argument '%s' (expected "
-                         "key=value)\n", arg.c_str());
-            return usage();
-        }
-        const std::string key = arg.substr(0, eq);
-        const std::string value = arg.substr(eq + 1);
-        if (key == "data") {
-            data_path = value;
-            continue;
-        }
-        if (key == "out") {
-            out_path = value;
-            continue;
-        }
-        if (key == "checkpoint") {
-            checkpoint = value;
-            continue;
-        }
-        if (key == "feedback") {
-            feedback_path = value;
-            continue;
-        }
-        if (key == "val") {
-            if (!parseDouble(value, val_fraction) || val_fraction < 0.0
-                || val_fraction >= 1.0) {
-                std::fprintf(stderr, "bad value '%s' for 'val' (need "
-                             "[0, 1))\n", value.c_str());
-                return usage();
-            }
-            continue;
-        }
-        const auto it = opt.find(key);
-        int64_t parsed = 0;
-        if (it == opt.end()) {
-            std::fprintf(stderr, "unknown train option '%s'\n",
-                         key.c_str());
-            return usage();
-        }
-        if (!parseInt(value, parsed) || parsed < 0) {
-            std::fprintf(stderr, "bad value '%s' for train option "
-                         "'%s'\n", value.c_str(), key.c_str());
-            return usage();
-        }
-        it->second = parsed;
-    }
-    if (data_path.empty() || out_path.empty()) {
-        std::fprintf(stderr, "train requires data=<dir|file> and "
-                     "out=<artifact>\n");
-        return usage();
-    }
-    if (opt["epochs"] < 1 || opt["batch"] < 1) {
-        std::fprintf(stderr, "epochs and batch must be positive\n");
-        return usage();
-    }
-    if (opt["max_epochs"] > 0 && checkpoint.empty()) {
+    const double val_fraction = a.real("val");
+    if (val_fraction >= 1.0)
+        return badInput(*a.cmd, "val must be in [0, 1)");
+    const std::string checkpoint = a.text("checkpoint");
+    if (a.num("max_epochs") > 0 && checkpoint.empty()) {
         // Without a checkpoint the partial run's work would be lost.
-        std::fprintf(stderr, "max_epochs= requires checkpoint= (a "
-                     "partial run persists nothing otherwise)\n");
-        return usage();
+        return badInput(*a.cmd, "max_epochs= requires checkpoint= (a "
+                        "partial run persists nothing otherwise)");
     }
+    const std::string data_path = a.text("data");
+    const std::string out_path = a.text("out");
+    const std::string feedback_path = a.text("feedback");
 
     Dataset data;
     uint64_t manifest_hash = 0;
@@ -1140,11 +984,8 @@ runTrain(int argc, char **argv)
     if (!feedback_path.empty()) {
         // Active-learning loop: fold the serving layer's fallback
         // feedback file (simulator-labeled OOD requests) into this run.
-        if (!fileExists(feedback_path)) {
-            std::fprintf(stderr, "feedback file '%s' not found\n",
-                         feedback_path.c_str());
-            return 1;
-        }
+        if (!fileExists(feedback_path))
+            return missingFile("feedback file", feedback_path);
         const Dataset feedback = Dataset::load(feedback_path);
         fatal_if(feedback.dim != data.dim,
                  "feedback dim %zu does not match dataset dim %zu",
@@ -1156,10 +997,10 @@ runTrain(int argc, char **argv)
     }
 
     TrainConfig tc;
-    tc.epochs = static_cast<size_t>(opt["epochs"]);
-    tc.batchSize = static_cast<size_t>(opt["batch"]);
-    tc.seed = static_cast<uint64_t>(opt["seed"]);
-    tc.threads = static_cast<size_t>(opt["threads"]);
+    tc.epochs = static_cast<size_t>(a.num("epochs"));
+    tc.batchSize = static_cast<size_t>(a.num("batch"));
+    tc.seed = static_cast<uint64_t>(a.num("seed"));
+    tc.threads = static_cast<size_t>(a.num("threads"));
     tc.valFraction = val_fraction;
     tc.verbose = true;
 
@@ -1169,7 +1010,7 @@ runTrain(int argc, char **argv)
     Stopwatch timer;
     const TrainRun run = trainMlpResumable(
         data.features, data.labels, data.dim, tc, nullptr, checkpoint,
-        static_cast<size_t>(opt["max_epochs"]));
+        static_cast<size_t>(a.num("max_epochs")));
     if (!run.finished) {
         std::printf("stopped after %zu/%zu epochs (%.1fs); rerun with "
                     "the same checkpoint to resume\n",
@@ -1214,39 +1055,12 @@ runTrain(int argc, char **argv)
 }
 
 int
-runEval(int argc, char **argv)
+runEval(const Args &a)
 {
-    std::string model_path, data_path;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto eq = arg.find('=');
-        if (eq == std::string::npos || eq + 1 == arg.size()) {
-            std::fprintf(stderr, "malformed argument '%s' (expected "
-                         "key=value)\n", arg.c_str());
-            return usage();
-        }
-        const std::string key = arg.substr(0, eq);
-        const std::string value = arg.substr(eq + 1);
-        if (key == "model") {
-            model_path = value;
-        } else if (key == "data") {
-            data_path = value;
-        } else {
-            std::fprintf(stderr, "unknown eval option '%s'\n",
-                         key.c_str());
-            return usage();
-        }
-    }
-    if (model_path.empty() || data_path.empty()) {
-        std::fprintf(stderr, "eval requires model=<artifact> and "
-                     "data=<dir|file>\n");
-        return usage();
-    }
-    if (!fileExists(model_path)) {
-        std::fprintf(stderr, "model artifact '%s' not found\n",
-                     model_path.c_str());
-        return 1;
-    }
+    const std::string model_path = a.text("model");
+    const std::string data_path = a.text("data");
+    if (!fileExists(model_path))
+        return missingFile("model artifact", model_path);
 
     const ModelArtifact artifact = ModelArtifact::load(model_path);
     Dataset data;
@@ -1345,87 +1159,43 @@ sweepPredictor(const std::string &model_path)
 }
 
 /**
- * Parse the shared sweep/sweep-worker argument tail: option keys into
- * `opt`/`out_path`/`model_path`, everything else as a uarch override
- * (raw strings also collected for forwarding to workers).
+ * The grid of a sweep or sweep-worker command line: the <param> values
+ * and the design point of each. Returns 0, or 1 when model= names no
+ * file.
  */
-bool
-parseSweepArgs(int argc, char **argv, std::map<std::string, int64_t> &opt,
-               UarchParams &params, std::string &out_path,
-               std::string &model_path,
-               std::vector<std::string> &override_args)
+int
+sweepGrid(const Args &a, std::vector<int64_t> &values,
+          std::vector<UarchParams> &points)
 {
-    for (int i = 4; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto eq = arg.find('=');
-        const std::string key =
-            eq == std::string::npos ? arg : arg.substr(0, eq);
-        if (key == "out" || key == "model") {
-            if (eq == std::string::npos || eq + 1 == arg.size()) {
-                std::fprintf(stderr, "bad value for sweep option '%s'\n",
-                             key.c_str());
-                return false;
-            }
-            (key == "out" ? out_path : model_path) = arg.substr(eq + 1);
-            continue;
-        }
-        if (opt.count(key)) {
-            int64_t value = 0;
-            if (eq == std::string::npos
-                || !parseInt(arg.substr(eq + 1), value) || value < 0) {
-                std::fprintf(stderr, "bad value for sweep option '%s'\n",
-                             key.c_str());
-                return false;
-            }
-            opt[key] = value;
-            continue;
-        }
-        if (!applyOverride(params, arg))
-            return false;
-        override_args.push_back(arg);
+    if (a.has("model") && !fileExists(a.text("model")))
+        return missingFile("model artifact", a.text("model"));
+    values = sweepValues(a.param, true);
+    UarchParams params = a.params;
+    for (int64_t value : values) {
+        params.set(a.param, value);
+        points.push_back(params);
     }
-    return true;
+    return 0;
 }
 
 int
-runSweep(int pid, const char *code, int argc, char **argv)
+runSweep(const Args &a)
 {
-    if (argc < 4)
-        return usage();
-    const auto it = kShortNames.find(argv[3]);
-    if (it == kShortNames.end()) {
-        std::fprintf(stderr, "unknown parameter '%s'\n", argv[3]);
-        return 2;
-    }
-    UarchParams params = UarchParams::armN1();
-    std::map<std::string, int64_t> opt = {{"workers", 0}, {"respawns", 3}};
-    std::string out_path, model_path;
-    std::vector<std::string> override_args;
-    if (!parseSweepArgs(argc, argv, opt, params, out_path, model_path,
-                        override_args))
-        return usage();
-    if (!model_path.empty() && !fileExists(model_path)) {
-        std::fprintf(stderr, "model artifact '%s' not found\n",
-                     model_path.c_str());
-        return 1;
-    }
-
-    const auto values = sweepValues(it->second, true);
+    std::vector<int64_t> values;
     std::vector<UarchParams> points;
-    points.reserve(values.size());
-    for (int64_t value : values) {
-        params.set(it->second, value);
-        points.push_back(params);
-    }
+    if (const int status = sweepGrid(a, values, points))
+        return status;
+    const std::string out_path = a.text("out");
+    const std::string model_path = a.text("model");
 
-    if (opt["workers"] == 0) {
+    if (a.num("workers") == 0) {
         // The DSE fast path: one store-shared analysis, one provider's
         // memo caches across the grid, one batched-inference pass.
         const ConcordePredictor predictor = sweepPredictor(model_path);
-        const auto cpis = predictor.predictSweep(regionFor(pid), points);
+        const auto cpis = predictor.predictSweep(regionFor(a.pid), points);
         if (!out_path.empty())
             writeSweepResult(out_path, cpis);
-        printSweepTable(it->second, code, values, cpis);
+        printSweepTable(a.param, a.code, values, cpis);
         return 0;
     }
 
@@ -1434,9 +1204,8 @@ runSweep(int pid, const char *code, int argc, char **argv)
     // 1-worker run writes (predictSweep is batch-composition-invariant,
     // so per-point CPIs do not depend on the partitioning).
     if (out_path.empty()) {
-        std::fprintf(stderr, "sweep workers= requires out=<file> (the "
-                     "merge target)\n");
-        return usage();
+        return badInput(*a.cmd, "sweep workers= requires out=<file> (the "
+                        "merge target)");
     }
     if (model_path.empty()) {
         // Train-or-load the shared model cache before forking: fresh
@@ -1444,21 +1213,21 @@ runSweep(int pid, const char *code, int argc, char **argv)
         (void)artifacts::fullModel();
     }
     const size_t n = std::min<size_t>(
-        static_cast<size_t>(opt["workers"]), points.size());
-    const std::string exe = selfExePath(argv[0]);
+        static_cast<size_t>(a.num("workers")), points.size());
+    const std::string exe = selfExePath(a.exe);
     std::vector<std::vector<std::string>> argvs(n);
     for (size_t w = 0; w < n; ++w) {
-        argvs[w] = {exe, "sweep-worker", code, argv[3],
+        argvs[w] = {exe, "sweep-worker", a.code, a.paramName,
                     "part=" + std::to_string(w),
                     "nparts=" + std::to_string(n),
                     "out=" + sweepPartPath(out_path, w)};
         if (!model_path.empty())
             argvs[w].push_back("model=" + model_path);
-        for (const auto &override_arg : override_args)
+        for (const auto &override_arg : a.overrides)
             argvs[w].push_back(override_arg);
     }
     ProcessPool pool;
-    if (!pool.superviseAll(argvs, static_cast<size_t>(opt["respawns"]))) {
+    if (!pool.superviseAll(argvs, static_cast<size_t>(a.num("respawns")))) {
         std::fprintf(stderr, "sweep: a partition never completed\n");
         return 1;
     }
@@ -1495,7 +1264,7 @@ runSweep(int pid, const char *code, int argc, char **argv)
     writeSweepResult(out_path, cpis);
     for (size_t w = 0; w < n; ++w)
         ::unlink(sweepPartPath(out_path, w).c_str());
-    printSweepTable(it->second, code, values, cpis);
+    printSweepTable(a.param, a.code, values, cpis);
     return 0;
 }
 
@@ -1505,49 +1274,27 @@ runSweep(int pid, const char *code, int argc, char **argv)
  * as an (index, CPI) part file for the supervisor to merge.
  */
 int
-runSweepWorker(int pid, const char *code, int argc, char **argv)
+runSweepWorker(const Args &a)
 {
-    (void)code;
-    if (argc < 4)
-        return usage();
-    const auto it = kShortNames.find(argv[3]);
-    if (it == kShortNames.end()) {
-        std::fprintf(stderr, "unknown parameter '%s'\n", argv[3]);
-        return 2;
-    }
-    UarchParams params = UarchParams::armN1();
-    std::map<std::string, int64_t> opt = {{"part", -1}, {"nparts", 0}};
-    std::string out_path, model_path;
-    std::vector<std::string> override_args;
-    if (!parseSweepArgs(argc, argv, opt, params, out_path, model_path,
-                        override_args))
-        return usage();
-    if (out_path.empty() || opt["part"] < 0 || opt["nparts"] < 1
-        || opt["part"] >= opt["nparts"]) {
-        std::fprintf(stderr, "sweep-worker requires out=<file>, part=, "
-                     "and nparts= with part < nparts\n");
-        return usage();
-    }
-    if (!model_path.empty() && !fileExists(model_path)) {
-        std::fprintf(stderr, "model artifact '%s' not found\n",
-                     model_path.c_str());
-        return 1;
-    }
-    const size_t part = static_cast<size_t>(opt["part"]);
-    const size_t nparts = static_cast<size_t>(opt["nparts"]);
-
-    const auto values = sweepValues(it->second, true);
+    const size_t part = static_cast<size_t>(a.num("part"));
+    const size_t nparts = static_cast<size_t>(a.num("nparts"));
+    if (part >= nparts)
+        return badInput(*a.cmd, "sweep-worker requires part < nparts");
+    std::vector<int64_t> values;
+    std::vector<UarchParams> grid;
+    if (const int status = sweepGrid(a, values, grid))
+        return status;
     std::vector<uint64_t> indices;
     std::vector<UarchParams> points;
-    for (size_t i = part; i < values.size(); i += nparts) {
-        params.set(it->second, values[i]);
+    for (size_t i = part; i < grid.size(); i += nparts) {
         indices.push_back(i);
-        points.push_back(params);
+        points.push_back(grid[i]);
     }
 
-    const ConcordePredictor predictor = sweepPredictor(model_path);
-    const auto cpis = predictor.predictSweep(regionFor(pid), points);
+    const ConcordePredictor predictor = sweepPredictor(a.text("model"));
+    const auto cpis = predictor.predictSweep(regionFor(a.pid), points);
 
+    const std::string out_path = a.text("out");
     const std::string tmp = uniqueTmpName(out_path);
     {
         BinaryWriter out(tmp);
@@ -1565,137 +1312,59 @@ runSweepWorker(int pid, const char *code, int argc, char **argv)
     return 0;
 }
 
-} // anonymous namespace
+// ---- single-point subcommands ----
 
 int
-main(int argc, char **argv)
+runSimulate(const Args &a)
 {
-    if (argc < 2)
-        return usage();
-    const std::string command = argv[1];
+    RegionAnalysis analysis(regionFor(a.pid));
+    const SimResult result = simulateRegion(a.params, analysis);
+    std::printf("cycle-level simulation of %s @ %s\n", a.code,
+                a.params.toString().c_str());
+    std::printf("  CPI %.4f (%llu cycles, %llu instructions, "
+                "%llu mispredicts)\n", result.cpi(),
+                static_cast<unsigned long long>(result.cycles),
+                static_cast<unsigned long long>(result.instructions),
+                static_cast<unsigned long long>(
+                    result.branchMispredicts));
+    return 0;
+}
 
-    if (command == "list") {
-        if (argc > 2) {
-            std::fprintf(stderr, "'list' takes no arguments\n");
-            return usage();
-        }
-        std::printf("programs:\n");
-        for (const auto &info : workloadCorpus()) {
-            std::printf("  %-5s %s (%s)\n", info.code().c_str(),
-                        info.profile.name.c_str(),
-                        info.profile.group.c_str());
-        }
-        std::printf("\nparameters (short=long, ARM N1 default):\n");
-        const UarchParams n1 = UarchParams::armN1();
-        for (const auto &[name, id] : kShortNames) {
-            std::printf("  %-8s %-38s %lld\n", name.c_str(),
-                        paramTable()[static_cast<int>(id)].name,
-                        static_cast<long long>(n1.get(id)));
-        }
-        return 0;
-    }
-
-    // Lifecycle subcommands take key=value args, not a <program>.
-    if (command == "dataset")
-        return runDataset(argc, argv);
-    if (command == "dataset-worker")
-        return runDatasetWorker(argc, argv);
-    if (command == "train")
-        return runTrain(argc, argv);
-    if (command == "eval")
-        return runEval(argc, argv);
-
-    if (command != "predict" && command != "sweep" && command != "attribute"
-        && command != "simulate" && command != "serve"
-        && command != "pipeline" && command != "sweep-worker") {
-        std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-        return usage();
-    }
-
-    if (argc < 3)
-        return usage();
-    const int pid = programIdByCode(argv[2]);
-    if (pid < 0) {
-        std::fprintf(stderr, "unknown program '%s'\n", argv[2]);
-        return 2;
-    }
-
-    if (command == "serve")
-        return runServe(pid, argv[2], argc, argv);
-    if (command == "pipeline")
-        return runPipeline(pid, argv[2], argc, argv);
-    if (command == "sweep")
-        return runSweep(pid, argv[2], argc, argv);
-    if (command == "sweep-worker")
-        return runSweepWorker(pid, argv[2], argc, argv);
-
-    UarchParams params = UarchParams::armN1();
-    int first_override = 3;
-    int permutations = 48;
-    if (command == "attribute" && argc > 3) {
-        // Optional positional permutation count before the overrides.
-        int64_t parsed = 0;
-        if (parseInt(argv[3], parsed)) {
-            if (parsed < 1 || parsed > 1000000) {
-                std::fprintf(stderr,
-                             "permutations must be in [1, 1000000]\n");
-                return 2;
-            }
-            permutations = static_cast<int>(parsed);
-            first_override = 4;
-        }
-    }
-    for (int i = first_override; i < argc; ++i) {
-        if (!applyOverride(params, argv[i]))
-            return 2;
-    }
-
-    if (command == "simulate") {
-        RegionAnalysis analysis(regionFor(pid));
-        const SimResult result = simulateRegion(params, analysis);
-        std::printf("cycle-level simulation of %s @ %s\n", argv[2],
-                    params.toString().c_str());
-        std::printf("  CPI %.4f (%llu cycles, %llu instructions, "
-                    "%llu mispredicts)\n", result.cpi(),
-                    static_cast<unsigned long long>(result.cycles),
-                    static_cast<unsigned long long>(result.instructions),
-                    static_cast<unsigned long long>(
-                        result.branchMispredicts));
-        return 0;
-    }
-
+/**
+ * `predict` and `attribute`. Both share the region analysis through the
+ * process-wide AnalysisStore, the same cache the serve layer and
+ * dataset generation use.
+ */
+int
+runPredict(const Args &a)
+{
     ConcordePredictor predictor(artifacts::fullModel(),
                                 artifacts::featureConfig());
-    // All three prediction subcommands share the region analysis through
-    // the process-wide AnalysisStore, the same cache the serve layer and
-    // dataset generation use.
     FeatureProvider provider(
-        AnalysisStore::global().acquire(regionFor(pid)),
+        AnalysisStore::global().acquire(regionFor(a.pid)),
         artifacts::featureConfig());
 
-    if (command == "predict") {
-        const double cpi = predictor.predictCpi(provider, params);
-        std::printf("%s @ %s\n  predicted CPI %.4f\n", argv[2],
-                    params.toString().c_str(), cpi);
+    if (std::strcmp(a.cmd->name, "predict") == 0) {
+        const double cpi = predictor.predictCpi(provider, a.params);
+        std::printf("%s @ %s\n  predicted CPI %.4f\n", a.code,
+                    a.params.toString().c_str(), cpi);
         return 0;
     }
 
-    // command == "attribute"
-    // Every permutation scan point is evaluated through one batched
-    // inference pass instead of thousands of scalar predictions, against
-    // the store-shared region analysis.
+    // attribute: every permutation scan point is evaluated through one
+    // batched inference pass instead of thousands of scalar predictions.
     const BatchEval eval = [&](const std::vector<UarchParams> &pts) {
         return predictor.predictCpiBatch(provider, pts);
     };
     const UarchParams base = UarchParams::bigCore();
     ShapleyConfig config;
-    config.numPermutations = permutations;
+    config.numPermutations = a.permutations;
     const auto &components = attributionComponents();
     const auto phi =
-        shapleyAttribution(base, params, components, eval, config);
+        shapleyAttribution(base, a.params, components, eval, config);
     const auto endpoints = predictor.predictCpiBatch(
-        provider, std::vector<UarchParams>{base, params});
-    std::printf("CPI attribution for %s (target vs big core):\n", argv[2]);
+        provider, std::vector<UarchParams>{base, a.params});
+    std::printf("CPI attribution for %s (target vs big core):\n", a.code);
     std::printf("  big core %.3f -> target %.3f\n", endpoints[0],
                 endpoints[1]);
     for (size_t c = 0; c < components.size(); ++c) {
@@ -1705,4 +1374,146 @@ main(int argc, char **argv)
         }
     }
     return 0;
+}
+
+int
+runList(const Args &)
+{
+    std::printf("programs:\n");
+    for (const auto &info : workloadCorpus()) {
+        std::printf("  %-5s %s (%s)\n", info.code().c_str(),
+                    info.profile.name.c_str(),
+                    info.profile.group.c_str());
+    }
+    std::printf("\nparameters (short=long, ARM N1 default):\n");
+    const UarchParams n1 = UarchParams::armN1();
+    for (const auto &[name, id] : kShortNames) {
+        std::printf("  %-8s %-38s %lld\n", name.c_str(),
+                    paramTable()[static_cast<int>(id)].name,
+                    static_cast<long long>(n1.get(id)));
+    }
+    return 0;
+}
+
+// ---- the option tables ----
+
+/** Every subcommand, in usage order. */
+const std::vector<Command> &
+commands()
+{
+    const Type Int = Type::Int, Double = Type::Double, Text = Type::Text,
+               Enum = Type::Enum;
+    const std::vector<Option> dataset = {
+        {"out", Text, nullptr, "<dir>"},
+        {"samples", Int, "512", "", 1},
+        {"shard", Int, "128", "", 1},
+        {"chunks", Int, "8", "", 1},
+        {"seed", Int, "99"},
+        {"threads", Int, "0"},
+        {"program", Type::Program, "", "<code>"},
+    };
+    const auto plus = [](std::vector<Option> rows,
+                         const std::vector<Option> &more) {
+        rows.insert(rows.end(), more.begin(), more.end());
+        return rows;
+    };
+    static const std::vector<Command> table = {
+        {"predict", kProgram, withParams({}), runPredict},
+        {"sweep", kProgram | kParam, withParams({
+             {"workers", Int, "0"},
+             {"respawns", Int, "3"},
+             {"out", Text, "", "<file>"},
+             {"model", Text, "", "<artifact>"},
+         }), runSweep},
+        {"attribute", kProgram | kPermutations, withParams({}),
+         runPredict},
+        {"simulate", kProgram, withParams({}), runSimulate},
+        {"serve", kProgram | kModelFlag, withParams({
+             {"model", Text, "", "<artifact>"},
+             {"clients", Int, "4"},
+             {"requests", Int, "2000"},
+             {"batch", Int, "64"},
+             {"deadline_us", Int, "200"},
+             {"cache", Int, "65536"},
+             {"burst", Int, "32"},
+             {"regions", Int, "4"},
+             {"threads", Int, "0"},
+             {"inflight", Int, "0"},
+             {"listen", Int, "", "<port>", 0, 65535},
+             {"alpha", Double, "0.1", "", 0, 1},
+             {"max_width", Double, "0"},
+             {"fallback", Enum, "0", "0|1"},
+             {"fallback_budget", Int, "2"},
+             {"fallback_reject", Enum, "0", "0|1"},
+             {"feedback", Text, "", "<file>"},
+         }), runServe},
+        {"pipeline", kProgram, withParams({
+             {"chunks", Int, "64", "", 1},
+             {"region", Int, "8", "", 1},
+             {"warmup", Int, "8"},
+             {"start", Int, "16"},
+             {"threads", Int, "0"},
+             {"mode", Enum, "sharded", "sharded|scalar|service"},
+             {"state", Enum, "", "carry|independent"},
+         }), runPipeline},
+        {"dataset", 0, plus(dataset, {
+             {"max_shards", Int, "0"},
+             {"workers", Int, "0"},
+             {"respawns", Int, "3"},
+         }), runDataset},
+        {"dataset-worker", 0, plus(dataset, {
+             {"shards", Text, nullptr, "<i,j,...>"},
+         }), runDatasetWorker},
+        {"sweep-worker", kProgram | kParam, withParams({
+             {"out", Text, nullptr, "<file>"},
+             {"part", Int, nullptr, "<k>"},
+             {"nparts", Int, nullptr, "<n>", 1},
+             {"model", Text, "", "<artifact>"},
+         }), runSweepWorker},
+        {"train", 0, {
+             {"data", Text, nullptr, "<dir|file>"},
+             {"out", Text, nullptr, "<artifact>"},
+             {"epochs", Int, "12", "", 1},
+             {"val", Double, "0.1", "", 0, 1},
+             {"batch", Int, "256", "", 1},
+             {"seed", Int, "1234"},
+             {"threads", Int, "0"},
+             {"checkpoint", Text, "", "<file>"},
+             {"max_epochs", Int, "0"},
+             {"feedback", Text, "", "<file>"},
+         }, runTrain},
+        {"eval", 0, {
+             {"model", Text, nullptr, "<artifact>"},
+             {"data", Text, nullptr, "<dir|file>"},
+         }, runEval},
+        {"list", 0, {}, runList},
+    };
+    return table;
+}
+
+/** The usage of every subcommand; returns exit status 2. */
+int
+usage()
+{
+    for (const Command &cmd : commands())
+        std::fputs(usageOf(cmd).c_str(), stderr);
+    return 2;
+}
+
+} // anonymous namespace
+
+int
+main(int argc, char **argv)
+{
+    if (argc < 2)
+        return usage();
+    for (const Command &cmd : commands()) {
+        if (std::strcmp(argv[1], cmd.name) == 0) {
+            Args args;
+            const int status = parseArgs(cmd, argc, argv, args);
+            return status != 0 ? status : cmd.run(args);
+        }
+    }
+    std::fprintf(stderr, "unknown command '%s'\n", argv[1]);
+    return usage();
 }
