@@ -1,6 +1,7 @@
 #include "pipeline/analysis_pipeline.hh"
 
 #include <algorithm>
+#include <exception>
 
 #include "common/logging.hh"
 #include "common/stopwatch.hh"
@@ -10,6 +11,28 @@ namespace concorde
 {
 namespace pipeline
 {
+
+namespace
+{
+
+/** Wait for every future, then rethrow the first stored exception. */
+void
+joinAll(std::vector<std::future<void>> &futures)
+{
+    std::exception_ptr first;
+    for (auto &future : futures) {
+        try {
+            future.get();
+        } catch (...) {
+            if (!first)
+                first = std::current_exception();
+        }
+    }
+    if (first)
+        std::rethrow_exception(first);
+}
+
+} // anonymous namespace
 
 double
 aggregateCpi(const std::vector<RegionSpec> &regions,
@@ -50,18 +73,19 @@ AnalysisPipeline::AnalysisPipeline(const ModelArtifact &artifact,
         pool = std::make_unique<ThreadPool>(cfg.threads);
 }
 
-std::vector<std::unique_ptr<FeatureProvider>>
-AnalysisPipeline::buildProviders(const TraceSpan &span,
-                                 const std::vector<RegionSpec> &regions,
-                                 const UarchParams &params,
-                                 double &analyze_seconds)
+double
+AnalysisPipeline::buildProviders(
+    const TraceSpan &span, const std::vector<RegionSpec> &regions,
+    const UarchParams &params,
+    std::vector<std::unique_ptr<FeatureProvider>> &providers,
+    const std::function<void(size_t)> &ready)
 {
     // The sequential stitch pass: one carried hierarchy/predictor state
     // walks the span in trace order, so every instruction is analyzed
     // exactly once and the per-shard results concatenate to one unsplit
-    // pass. The expensive featurization then fans out per shard.
+    // pass. Each shard's provider is handed to `ready` as soon as it is
+    // built, so its featurization can overlap the stitch of the next.
     Stopwatch timer;
-    std::vector<std::unique_ptr<FeatureProvider>> providers(regions.size());
     const ProgramModel &model = programModel(span.programId);
 
     AnalyzerCarryState carry(
@@ -94,9 +118,10 @@ AnalysisPipeline::buildProviders(const TraceSpan &span,
         analysis.adoptBranches(params.branch, std::move(shard.branches));
         providers[i] = std::make_unique<FeatureProvider>(
             std::move(analysis), pred.featureConfig());
+        if (ready)
+            ready(i);
     }
-    analyze_seconds = timer.seconds();
-    return providers;
+    return timer.seconds();
 }
 
 PipelineResult
@@ -112,16 +137,11 @@ AnalysisPipeline::run(const TraceSpan &span, const UarchParams &params)
         return res;
     }
 
+    // Featurize every shard into one row-major matrix. Carry-state
+    // providers come from the stitch pass; Independent-state providers
+    // are built inside the task, so their trace analysis (and warmup
+    // replay) fans out with the featurization.
     std::vector<std::unique_ptr<FeatureProvider>> providers(n);
-    if (cfg.state == StateMode::Carry) {
-        providers = buildProviders(span, res.regions, params,
-                                   res.analyzeSeconds);
-    }
-
-    // Featurize every shard into one row-major matrix. Independent-state
-    // providers are built inside the task, so their trace analysis (and
-    // warmup replay) fans out with the featurization.
-    Stopwatch feature_timer;
     std::vector<float> rows(n * res.featureDim, 0.0f);
     auto featurize = [&](size_t i) {
         if (!providers[i]) {
@@ -147,6 +167,11 @@ AnalysisPipeline::run(const TraceSpan &span, const UarchParams &params)
     };
 
     if (cfg.mode == ExecMode::Scalar) {
+        if (cfg.state == StateMode::Carry) {
+            res.analyzeSeconds =
+                buildProviders(span, res.regions, params, providers, nullptr);
+        }
+        Stopwatch feature_timer;
         for (size_t i = 0; i < n; ++i)
             featurize(i);
         res.featureSeconds = feature_timer.seconds();
@@ -161,15 +186,34 @@ AnalysisPipeline::run(const TraceSpan &span, const UarchParams &params)
         }
         res.inferSeconds = infer_timer.seconds();
     } else {
+        // Each shard's task is submitted the moment its provider exists:
+        // in Carry state the workers featurize shard i while this thread
+        // stitches shard i+1. Every task reads this frame's locals, so
+        // all of them are joined before the frame is left, even when the
+        // stitch pass or a task throws.
         std::vector<std::future<void>> futures;
         futures.reserve(n);
-        for (size_t i = 0; i < n; ++i)
+        const auto submit = [&](size_t i) {
             futures.push_back(pool->submit([&featurize, i] {
                 featurize(i);
             }));
-        for (auto &future : futures)
-            future.get();
-        res.featureSeconds = feature_timer.seconds();
+        };
+        try {
+            if (cfg.state == StateMode::Carry) {
+                res.analyzeSeconds = buildProviders(
+                    span, res.regions, params, providers, submit);
+            } else {
+                for (size_t i = 0; i < n; ++i)
+                    submit(i);
+            }
+        } catch (...) {
+            for (auto &future : futures)
+                future.wait();
+            throw;
+        }
+        Stopwatch wait_timer;
+        joinAll(futures);
+        res.featureSeconds = wait_timer.seconds();
 
         Stopwatch infer_timer;
         res.regionCpi =

@@ -15,7 +15,11 @@
  *   ExecMode::Sharded   per-shard featurization fanned out on a
  *                       ThreadPool (shard-local FeatureProviders; see
  *                       the provider's thread-safety contract), one
- *                       batched GEMM for all regions.
+ *                       batched GEMM for all regions. With Carry state
+ *                       the shards stream: each shard's featurization
+ *                       is submitted as soon as the stitch pass has
+ *                       built its provider, so the workers featurize
+ *                       shard i while the caller stitches shard i+1.
  *
  *   StateMode::Independent   every region replays its own warmup prefix
  *                       (the RegionAnalysis convention; matches the
@@ -36,6 +40,7 @@
 #define CONCORDE_PIPELINE_ANALYSIS_PIPELINE_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -89,8 +94,15 @@ struct PipelineResult
     std::vector<float> features;
     size_t featureDim = 0;
 
-    double analyzeSeconds = 0.0;    ///< sequential stitch pass (Carry)
-    double featureSeconds = 0.0;    ///< per-shard featurization
+    /**
+     * Phase wall times: three disjoint, back-to-back sub-intervals of
+     * totalSeconds. In Sharded + Carry the featurization overlaps the
+     * stitch pass, so featureSeconds is only the post-stitch tail.
+     */
+    double analyzeSeconds = 0.0;    ///< stitch pass on the caller (Carry)
+    double featureSeconds = 0.0;    ///< featurization after the stitch:
+                                    ///< the whole loop in Scalar, the
+                                    ///< wait for the last row in Sharded
     double inferSeconds = 0.0;      ///< MLP pass
     double totalSeconds = 0.0;
 };
@@ -124,11 +136,18 @@ class AnalysisPipeline
     PipelineResult run(const TraceSpan &span, const UarchParams &params);
 
   private:
-    /** Shard-local providers for the span, per the configured StateMode. */
-    std::vector<std::unique_ptr<FeatureProvider>>
-    buildProviders(const TraceSpan &span,
-                   const std::vector<RegionSpec> &regions,
-                   const UarchParams &params, double &analyze_seconds);
+    /**
+     * The Carry-state stitch pass: fills `providers` (sized to
+     * `regions`) in place, shard by shard in trace order, and calls
+     * ready(i) right after providers[i] is built (a null `ready` is
+     * skipped). Tasks that `ready` starts may read providers[i] while
+     * later slots are still being filled. Returns the pass's wall time.
+     */
+    double buildProviders(
+        const TraceSpan &span, const std::vector<RegionSpec> &regions,
+        const UarchParams &params,
+        std::vector<std::unique_ptr<FeatureProvider>> &providers,
+        const std::function<void(size_t)> &ready);
 
     /** Set by the artifact ctor; declared before `pred` so the reference
      *  can bind to it during construction. */

@@ -601,6 +601,12 @@ TEST(CliExitCodes, LifecycleSubcommandsRejectMalformedFlags)
     EXPECT_EQ(cliExitCode("pipeline S7 chunks=x"), 2);
     EXPECT_EQ(cliExitCode("pipeline S7 chunks=0"), 2);
     EXPECT_EQ(cliExitCode("pipeline S7 threads=-2"), 2);
+    // Chunk counts are uint32_t: a value past 4294967295 must not wrap.
+    EXPECT_EQ(cliExitCode("pipeline S7 region=4294967297"), 2);
+    EXPECT_EQ(cliExitCode("pipeline S7 warmup=4294967296"), 2);
+    EXPECT_EQ(cliExitCode("dataset out=/tmp/x chunks=4294967297"), 2);
+    EXPECT_EQ(cliExitCode("dataset-worker out=/tmp/x shards=0 "
+                          "chunks=4294967296"), 2);
     EXPECT_EQ(cliExitCode("pipeline"), 2) << "missing <program>";
     EXPECT_EQ(cliExitCode("dataset-worker out=/tmp/x shards=0 bogus=1"), 2);
     EXPECT_EQ(cliExitCode("dataset-worker out=/tmp/x shards=0 "

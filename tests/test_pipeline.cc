@@ -331,6 +331,40 @@ TEST(PipelineModes, ThreadCountInvariance)
     }
 }
 
+TEST(PipelineModes, StreamedCarryShardsMatchScalarBitwise)
+{
+    // Many more shards than workers, and a short last shard (37 = 9 * 4
+    // + 1 chunks): the streamed Sharded + Carry run, whose workers
+    // featurize while the caller stitches, must reproduce Scalar + Carry.
+    const ConcordePredictor predictor = tinyPredictor(12);
+    const TraceSpan span = testSpan(37);
+    const UarchParams params = UarchParams::armN1();
+    PipelineConfig config;
+    config.regionChunks = 4;
+    config.warmupChunks = 2;
+    config.state = StateMode::Carry;
+    config.threads = 2;
+    config.keepFeatures = true;
+
+    config.mode = ExecMode::Scalar;
+    AnalysisPipeline scalar_pipe(predictor, config);
+    config.mode = ExecMode::Sharded;
+    AnalysisPipeline sharded_pipe(predictor, config);
+    const PipelineResult scalar = scalar_pipe.run(span, params);
+    const PipelineResult sharded = sharded_pipe.run(span, params);
+    ASSERT_EQ(sharded.regionCpi.size(), 10u);
+    EXPECT_EQ(sharded.regions.back().numChunks, 1u);
+    expectResultsIdentical(scalar, sharded);
+    EXPECT_EQ(scalar.features, sharded.features);
+
+    // The phase times are sequential sub-intervals of the run.
+    for (const PipelineResult *r : {&scalar, &sharded}) {
+        EXPECT_GT(r->analyzeSeconds, 0.0);
+        EXPECT_LE(r->analyzeSeconds + r->featureSeconds + r->inferSeconds,
+                  r->totalSeconds);
+    }
+}
+
 TEST(PipelineModes, IndependentRegionsMatchDirectPredictCpi)
 {
     // Independent-state regions are the plain per-region path: the

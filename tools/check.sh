@@ -5,6 +5,7 @@
 #   stage 1  configure (warnings fatal) + build everything + CLI usage
 #            check + full ctest
 #   stage 2  ASan+UBSan build + full ctest        (SKIP_SANITIZE=1 skips)
+#   stage 2b TSan build + the concurrency suites   (SKIP_TSAN=1 skips)
 #   stage 3  bench smoke + perf-regression gates  (SKIP_BENCH=1 skips)
 #
 # Env knobs: BUILD_TYPE (default Release), JOBS (default nproc).
@@ -45,6 +46,21 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
     cmake --build build-asan -j "$JOBS"
     ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
         ctest --test-dir build-asan --output-on-failure -j "$JOBS"
+fi
+
+if [ "${SKIP_TSAN:-0}" != "1" ]; then
+    echo "== stage 2b: ThreadSanitizer (concurrency suites) =="
+    # The pipeline's streamed shard tasks, the pool itself and the
+    # shared analysis store. test_serve stays out: its timing-based
+    # BatchingQueue.HandlerExceptionBecomesInternalError fails at TSan
+    # speed.
+    cmake -B build-tsan -S . -DCONCORDE_SANITIZE=thread \
+        -DCONCORDE_WERROR=ON
+    cmake --build build-tsan -j "$JOBS" \
+        --target test_pipeline test_thread_pool test_analysis_store
+    TSAN_OPTIONS=halt_on_error=1 ctest --test-dir build-tsan \
+        -R '^(test_pipeline|test_thread_pool|test_analysis_store)$' \
+        --output-on-failure -j "$JOBS"
 fi
 
 if [ "${SKIP_BENCH:-0}" != "1" ]; then
