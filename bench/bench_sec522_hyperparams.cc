@@ -20,17 +20,20 @@ namespace
 
 TrainedModel
 cachedTrain(const Dataset &data, const std::string &name,
-            const TrainConfig &config)
+            const TrainConfig &config, const FeatureConfig &features)
 {
-    const std::string path = artifacts::dir() + "/model_" + name + "_"
+    const std::string path = artifacts::dir() + "/artifact_" + name + "_"
         + std::to_string(data.size()) + "x"
         + std::to_string(config.epochs) + ".bin";
     if (fileExists(path))
-        return TrainedModel::load(path);
-    TrainedModel model =
-        trainMlp(data.features, data.labels, data.dim, config);
-    model.save(path);
-    return model;
+        return ModelArtifact::load(path).model;
+    ModelArtifact artifact;
+    artifact.features = features;
+    artifact.provenance.trainConfig = config;
+    artifact.provenance.trainedEpochs = config.epochs;
+    artifact.model = trainMlp(data.features, data.labels, data.dim, config);
+    artifact.save(path);
+    return artifact.model;
 }
 
 Dataset
@@ -48,7 +51,9 @@ cachedKDataset(const std::string &name, int window_k, size_t samples,
     config.features = artifacts::featureConfig();
     config.features.windowK = window_k;
     Dataset data = buildDataset(config);
-    data.save(path);
+    const std::string tmp = uniqueTmpName(path);
+    data.save(tmp);
+    publishFile(tmp, path);
     return data;
 }
 
@@ -85,7 +90,8 @@ main()
             const TrainedModel model = cachedTrain(
                 train, std::string("hidden_")
                     + std::to_string(variant.hidden.size()) + "_"
-                    + std::to_string(variant.hidden[0]), config);
+                    + std::to_string(variant.hidden[0]), config,
+                artifacts::featureConfig());
             const auto stats = benchutil::summarize(
                 benchutil::relativeErrors(model, test));
             std::printf("    %-26s avg err %5.2f%%  >10%%: %5.2f%%\n",
@@ -106,9 +112,11 @@ main()
                 "ktrain_" + std::to_string(k), k, samples, 1700 + k);
             const Dataset test = cachedKDataset(
                 "ktest_" + std::to_string(k), k, samples / 6, 2900 + k);
-            TrainConfig config = artifacts::trainConfig();
-            const TrainedModel model = cachedTrain(
-                train, "ksweep_" + std::to_string(k), config);
+            FeatureConfig features = artifacts::featureConfig();
+            features.windowK = k;
+            const TrainedModel model =
+                cachedTrain(train, "ksweep_" + std::to_string(k),
+                            artifacts::trainConfig(), features);
             const auto stats = benchutil::summarize(
                 benchutil::relativeErrors(model, test));
             std::printf("    k = %-4d  avg err %5.2f%%  >10%%: %5.2f%%\n",

@@ -132,7 +132,9 @@ taoArtifact()
                 regions.size());
     const double final_loss = model.train(regions, labels);
     std::printf("TAO final train rel-err: %.4f\n", final_loss);
-    model.save(path);
+    const std::string tmp = uniqueTmpName(path);
+    model.save(tmp);
+    publishFile(tmp, path);
     return model;
 }
 

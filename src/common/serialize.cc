@@ -58,13 +58,6 @@ BinaryReader::~BinaryReader()
         std::fclose(file);
 }
 
-void
-BinaryReader::rewind()
-{
-    fatal_if(std::fseek(file, 0, SEEK_SET) != 0, "cannot rewind: %s",
-             std::strerror(errno));
-}
-
 std::string
 BinaryReader::getString()
 {
@@ -162,44 +155,52 @@ publishFile(const std::string &tmp_path, const std::string &final_path)
     }
 }
 
-size_t
-reclaimStagingDebris(const std::string &final_path)
+namespace
 {
-    const auto slash = final_path.find_last_of('/');
-    const std::string dir =
-        slash == std::string::npos ? "." : final_path.substr(0, slash);
-    const std::string base = slash == std::string::npos
-        ? final_path : final_path.substr(slash + 1);
-    const std::string prefix = base + ".tmp.";
 
+/**
+ * True if `name` stages `base` (any file when `base` is empty) and its
+ * writer is provably dead: `<base>.tmp.<pid>.<n>` with a dead pid, or
+ * the fixed `<base>.tmp` of builds that predate uniqueTmpName, which
+ * embeds no pid and so can never be a live writer's.
+ */
+bool
+deadStagingFile(const std::string &name, const std::string &base)
+{
+    const auto tag = name.rfind(".tmp");
+    if (tag == std::string::npos || tag == 0
+        || (!base.empty()
+            && (tag != base.size() || name.compare(0, tag, base) != 0)))
+        return false;
+    if (tag + 4 == name.size())
+        return true;
+    if (name[tag + 4] != '.')
+        return false;
+    // Parse "<pid>.<counter>" after the tag.
+    const char *pid_str = name.c_str() + tag + 5;
+    char *end = nullptr;
+    const long pid = std::strtol(pid_str, &end, 10);
+    if (end == pid_str || pid <= 0 || *end != '.')
+        return false;
+    char *counter_end = nullptr;
+    (void)std::strtol(end + 1, &counter_end, 10);
+    if (counter_end == end + 1 || *counter_end != '\0')
+        return false;
+    // Only ESRCH proves the writer is gone: EPERM would mean a live
+    // process owned by another user, whose file must stay.
+    return ::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH;
+}
+
+size_t
+sweepStagingDebris(const std::string &dir, const std::string &base)
+{
     DIR *d = ::opendir(dir.empty() ? "/" : dir.c_str());
     if (!d)
         return 0;
     std::vector<std::string> stale;
     while (struct dirent *entry = ::readdir(d)) {
-        const std::string name = entry->d_name;
-        if (name == base + ".tmp") {
-            // Legacy fixed-name staging file: its writer embeds no
-            // pid, so by convention it is never a live writer's.
-            stale.push_back(name);
-            continue;
-        }
-        if (name.compare(0, prefix.size(), prefix) != 0)
-            continue;
-        // Parse "<pid>.<counter>" after the prefix.
-        const char *pid_str = name.c_str() + prefix.size();
-        char *end = nullptr;
-        const long pid = std::strtol(pid_str, &end, 10);
-        if (end == pid_str || pid <= 0 || *end != '.')
-            continue;
-        char *counter_end = nullptr;
-        (void)std::strtol(end + 1, &counter_end, 10);
-        if (counter_end == end + 1 || *counter_end != '\0')
-            continue;
-        // Only ESRCH proves the writer is gone: EPERM would mean a
-        // live process owned by another user, whose file must stay.
-        if (::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH)
-            stale.push_back(name);
+        if (deadStagingFile(entry->d_name, base))
+            stale.push_back(entry->d_name);
     }
     ::closedir(d);
 
@@ -211,6 +212,24 @@ reclaimStagingDebris(const std::string &final_path)
             ++removed;
     }
     return removed;
+}
+
+} // anonymous namespace
+
+size_t
+reclaimStagingDebris(const std::string &final_path)
+{
+    const auto slash = final_path.find_last_of('/');
+    if (slash == std::string::npos)
+        return sweepStagingDebris(".", final_path);
+    return sweepStagingDebris(final_path.substr(0, slash),
+                              final_path.substr(slash + 1));
+}
+
+size_t
+reclaimDirStagingDebris(const std::string &dir)
+{
+    return sweepStagingDebris(dir, "");
 }
 
 void

@@ -89,9 +89,6 @@ class BinaryReader
 
     std::string getString();
 
-    /** Seek back to the start of the stream (format auto-detection). */
-    void rewind();
-
     bool ok() const { return file != nullptr; }
 
   private:
@@ -138,13 +135,17 @@ void publishFile(const std::string &tmp_path, const std::string &final_path);
 
 /**
  * Remove staging files of `final_path` (`<final_path>.tmp.<pid>.<n>`,
- * plus the legacy fixed `<final_path>.tmp`) whose writer process is
- * provably dead -- the crash-recovery sweep for any file maintained
- * with the uniqueTmpName + publishFile discipline. The published file
- * itself is never touched: publishFile's rename is atomic, so it is
- * always the last complete version. @return files removed.
+ * plus the fixed `<final_path>.tmp` that builds predating uniqueTmpName
+ * wrote) whose writer process is provably dead -- the crash-recovery
+ * sweep for any file maintained with the uniqueTmpName + publishFile
+ * discipline. The published file itself is never touched: publishFile's
+ * rename is atomic, so it is always the last complete version.
+ * @return files removed.
  */
 size_t reclaimStagingDebris(const std::string &final_path);
+
+/** reclaimStagingDebris for the staging files of every file in `dir`. */
+size_t reclaimDirStagingDebris(const std::string &dir);
 
 } // namespace concorde
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <mutex>
 
@@ -46,8 +47,49 @@ cachedDataset(const std::string &name, const DatasetConfig &config)
     Stopwatch timer;
     Dataset data = buildDataset(config);
     inform("dataset '%s' built in %.1fs", name.c_str(), timer.seconds());
-    data.save(path);
+    reclaimStagingDebris(path);
+    const std::string tmp = uniqueTmpName(path);
+    data.save(tmp);
+    publishFile(tmp, path);
     return data;
+}
+
+/**
+ * Load-or-train the model cached as `name`: a ModelArtifact at
+ * `artifact_<name>_<samples>x<epochs>.bin` recording featureConfig()
+ * and trainConfig(). `data` (a `samples`-sample training set) is called
+ * only on a miss, so a cached model never reads or builds its dataset.
+ */
+ModelArtifact
+cachedModel(const std::string &name, size_t samples,
+            const std::function<const Dataset &()> &data,
+            const std::vector<uint8_t> *mask = nullptr,
+            const std::vector<float> *labels_override = nullptr)
+{
+    const std::string path = dir() + "/artifact_" + name + "_"
+        + std::to_string(samples) + "x" + std::to_string(epochs())
+        + ".bin";
+    if (fileExists(path))
+        return ModelArtifact::load(path);
+    const Dataset &train = data();
+    inform("training model '%s' on %zu samples...", name.c_str(),
+           train.size());
+    Stopwatch timer;
+    const auto &labels = labels_override ? *labels_override : train.labels;
+    ModelArtifact artifact;
+    artifact.features = featureConfig();
+    artifact.provenance.trainConfig = trainConfig();
+    artifact.provenance.trainedEpochs = epochs();
+    artifact.provenance.gitDescribe = buildGitDescribe();
+    artifact.model = trainMlp(train.features, labels, train.dim,
+                              artifact.provenance.trainConfig, mask);
+    inform("model '%s' trained in %.1fs (train rel-err %.4f)",
+           name.c_str(), timer.seconds(),
+           artifact.model.meanRelativeError(train.features, labels,
+                                            train.dim));
+    reclaimStagingDebris(path);
+    artifact.save(path);
+    return artifact;
 }
 
 } // anonymous namespace
@@ -220,22 +262,9 @@ trainOn(const Dataset &data, const std::string &cache_name,
         const std::vector<uint8_t> *mask,
         const std::vector<float> *labels_override)
 {
-    const std::string path = dir() + "/model_" + cache_name + "_"
-        + std::to_string(data.size()) + "x" + std::to_string(epochs())
-        + ".bin";
-    if (fileExists(path))
-        return TrainedModel::load(path);
-    inform("training model '%s' on %zu samples...", cache_name.c_str(),
-           data.size());
-    Stopwatch timer;
-    const auto &labels = labels_override ? *labels_override : data.labels;
-    TrainedModel model =
-        trainMlp(data.features, labels, data.dim, trainConfig(), mask);
-    inform("model '%s' trained in %.1fs (train rel-err %.4f)",
-           cache_name.c_str(), timer.seconds(),
-           model.meanRelativeError(data.features, labels, data.dim));
-    model.save(path);
-    return model;
+    const auto dataset = [&data]() -> const Dataset & { return data; };
+    return cachedModel(cache_name, data.size(), dataset, mask,
+                       labels_override).model;
 }
 
 TrainedModel
@@ -255,18 +284,26 @@ untrainedModel(const FeatureConfig &config, uint64_t seed,
                         {});
 }
 
+const ModelArtifact &
+fullArtifact()
+{
+    static const ModelArtifact artifact =
+        cachedModel("full", trainSamples(), mainTrain);
+    return artifact;
+}
+
 const TrainedModel &
 fullModel()
 {
-    static const TrainedModel model = trainOn(mainTrain(), "full");
-    return model;
+    return fullArtifact().model;
 }
 
 const TrainedModel &
 longModel()
 {
-    static const TrainedModel model = trainOn(longTrain(), "long");
-    return model;
+    static const ModelArtifact artifact =
+        cachedModel("long", longTrainSamples(), longTrain);
+    return artifact.model;
 }
 
 const TrainedModel &
@@ -291,9 +328,9 @@ ablationModel(const std::string &name)
         fatal("unknown ablation '%s'", name.c_str());
     }
     const auto mask = layout.maskFor(groups);
-    auto [pos, inserted] =
-        cache.emplace(name, trainOn(mainTrain(), "ablation_" + name,
-                                    &mask));
+    auto [pos, inserted] = cache.emplace(
+        name, cachedModel("ablation_" + name, trainSamples(), mainTrain,
+                          &mask).model);
     return pos->second;
 }
 

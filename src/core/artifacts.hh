@@ -2,8 +2,12 @@
  * @file
  * Artifact cache shared by benches, tests, and examples: datasets and
  * trained models are generated once (deterministically) and cached on
- * disk under `artifacts/` (override with CONCORDE_ARTIFACTS). Sizes are
- * env-tunable so the full paper evaluation can be scaled up or down:
+ * disk under `artifacts/` (override with CONCORDE_ARTIFACTS). A dataset
+ * is `<name>_<samples>.bin`; a model is a ModelArtifact,
+ * `artifact_<name>_<samples>x<epochs>.bin`, keyed by its training-set
+ * size so that loading a cached model never touches the dataset. Files
+ * are staged under uniqueTmpName and published by atomic rename. Sizes
+ * are env-tunable so the full paper evaluation can be scaled up or down:
  *
  *   CONCORDE_TRAIN_SAMPLES      (default 24000)   main 16k-instr dataset
  *   CONCORDE_TEST_SAMPLES       (default 3000)
@@ -20,6 +24,7 @@
 
 #include "core/concorde.hh"
 #include "core/dataset.hh"
+#include "core/model_artifact.hh"
 
 namespace concorde
 {
@@ -50,8 +55,10 @@ const Dataset &specN1Test();
 /** Per-program sample pool for the Figure-14 onboarding study. */
 Dataset onboardPool(int program_id, size_t samples);
 
-// ---- models ----
+// ---- models (cached as ModelArtifacts) ----
 /** Concorde trained with all feature groups on mainTrain(). */
+const ModelArtifact &fullArtifact();
+/** fullArtifact().model. */
 const TrainedModel &fullModel();
 /** Concorde trained on the long-region dataset. */
 const TrainedModel &longModel();
@@ -61,7 +68,10 @@ const TrainedModel &longModel();
  */
 const TrainedModel &ablationModel(const std::string &name);
 
-/** Train a model on an arbitrary dataset with the canonical config. */
+/**
+ * Train a model on an arbitrary dataset with the canonical config,
+ * cached as `cache_name` keyed by data.size().
+ */
 TrainedModel trainOn(const Dataset &data, const std::string &cache_name,
                      const std::vector<uint8_t> *mask = nullptr,
                      const std::vector<float> *labels_override = nullptr);

@@ -107,15 +107,6 @@ class ConcordePredictor
                               int num_samples, uint32_t region_chunks,
                               uint64_t seed) const;
 
-    /**
-     * Serialize the predictor: a versioned header, the FeatureConfig it
-     * was trained with, and the model. load() restores the exact feature
-     * configuration (legacy headerless model files are still accepted and
-     * get the default config).
-     */
-    void save(const std::string &path) const;
-    static ConcordePredictor load(const std::string &path);
-
   private:
     TrainedModel trainedModel;
     FeatureConfig featureCfg;

@@ -1,14 +1,9 @@
 #include "core/dataset.hh"
 
-#include <dirent.h>
-#include <signal.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <tuple>
 
@@ -24,8 +19,6 @@ namespace concorde
 namespace
 {
 
-/** Legacy (pre-v2) magic: raw-struct SampleMeta payload. */
-constexpr uint64_t kDatasetMagicLegacy = 0xC04C08DEULL;
 /** Versioned field-wise format: "CNCDAT02" little-endian. */
 constexpr uint64_t kDatasetMagicV2 = 0x3230544144434e43ULL;
 constexpr uint32_t kDatasetVersion = 2;
@@ -269,22 +262,12 @@ Dataset
 Dataset::load(const std::string &path)
 {
     BinaryReader in(path);
-    const uint64_t magic = in.get<uint64_t>();
-    Dataset data;
-    if (magic == kDatasetMagicLegacy) {
-        // Pre-v2 cache files (e.g. committed bench-artifacts): raw
-        // struct bytes, readable only by the ABI that wrote them.
-        data.dim = in.get<uint64_t>();
-        data.features = in.getVector<float>();
-        data.labels = in.getVector<float>();
-        data.meta = in.getVector<SampleMeta>();
-        return data;
-    }
-    fatal_if(magic != kDatasetMagicV2, "'%s' is not a Concorde dataset",
-             path.c_str());
+    fatal_if(in.get<uint64_t>() != kDatasetMagicV2,
+             "'%s' is not a Concorde dataset", path.c_str());
     const uint32_t version = in.get<uint32_t>();
     fatal_if(version != kDatasetVersion,
              "'%s': unsupported dataset version %u", path.c_str(), version);
+    Dataset data;
     data.dim = in.get<uint64_t>();
     data.features = in.getVector<float>();
     data.labels = in.getVector<float>();
@@ -431,70 +414,13 @@ datasetShardValid(const std::string &path)
     uint64_t magic = 0;
     const bool got = std::fread(&magic, sizeof(magic), 1, f) == 1;
     std::fclose(f);
-    return got
-        && (magic == kDatasetMagicV2 || magic == kDatasetMagicLegacy);
+    return got && magic == kDatasetMagicV2;
 }
-
-namespace
-{
-
-/**
- * Writer pid embedded in a `<name>.tmp.<pid>.<n>` staging-file name
- * (see uniqueTmpName), or -1 if the name is not of that shape.
- */
-pid_t
-stagingFilePid(const std::string &name)
-{
-    const auto pos = name.rfind(".tmp.");
-    if (pos == std::string::npos)
-        return -1;
-    const char *pid_str = name.c_str() + pos + 5;
-    char *end = nullptr;
-    const long pid = std::strtol(pid_str, &end, 10);
-    if (end == pid_str || pid <= 0 || *end != '.')
-        return -1;
-    const char *counter_str = end + 1;
-    char *counter_end = nullptr;
-    (void)std::strtol(counter_str, &counter_end, 10);
-    if (counter_end == counter_str || *counter_end != '\0')
-        return -1;
-    return static_cast<pid_t>(pid);
-}
-
-} // anonymous namespace
 
 size_t
 repairDatasetDir(const std::string &dir, const DatasetManifest &manifest)
 {
-    DIR *d = ::opendir(dir.c_str());
-    fatal_if(!d, "cannot scan '%s': %s", dir.c_str(), std::strerror(errno));
-    std::vector<std::string> stale;
-    while (struct dirent *entry = ::readdir(d)) {
-        const std::string name = entry->d_name;
-        if (name.size() > 4
-            && name.compare(name.size() - 4, 4, ".tmp") == 0) {
-            // Legacy fixed-name staging file: its writer is by
-            // definition not running (current writers embed a pid).
-            stale.push_back(name);
-            continue;
-        }
-        const pid_t writer = stagingFilePid(name);
-        if (writer < 0)
-            continue;
-        // Only ESRCH proves the writer is gone: EPERM would mean a live
-        // process owned by another user, whose staging file must stay.
-        if (::kill(writer, 0) != 0 && errno == ESRCH)
-            stale.push_back(name);
-    }
-    ::closedir(d);
-
-    size_t removed = 0;
-    for (const auto &name : stale) {
-        const std::string path = dir + "/" + name;
-        warn("removing stale staging file '%s'", path.c_str());
-        if (::unlink(path.c_str()) == 0)
-            ++removed;
-    }
+    size_t removed = reclaimDirStagingDebris(dir);
     for (size_t shard = 0; shard < manifest.numShards(); ++shard) {
         const std::string path = DatasetManifest::shardFile(dir, shard);
         if (!fileExists(path) || datasetShardValid(path))

@@ -57,8 +57,7 @@ struct Dataset
     /**
      * Versioned on-disk format: field-wise SampleMeta serialization, so
      * the bytes are independent of struct padding and ABI, and identical
-     * save() calls produce identical files. Legacy raw-struct files
-     * (the pre-v2 magic) are still loadable.
+     * save() calls produce identical files.
      */
     void save(const std::string &path) const;
     static Dataset load(const std::string &path);
@@ -176,8 +175,8 @@ DatasetManifest ensureDatasetManifest(const DatasetConfig &config,
                                       size_t shard_samples);
 
 /**
- * True if `path` plausibly holds a dataset shard: non-empty with a
- * recognized magic. A zero-length or garbage file -- the footprint of a
+ * True if `path` plausibly holds a dataset shard: non-empty with the
+ * dataset magic. A zero-length or garbage file -- the footprint of a
  * crash between file creation and durable publish on a pre-durability
  * writer, or of disk corruption -- must be treated as missing, not
  * trusted by resume.
@@ -185,10 +184,9 @@ DatasetManifest ensureDatasetManifest(const DatasetConfig &config,
 bool datasetShardValid(const std::string &path);
 
 /**
- * Reclaim crash debris in a dataset directory: staging files whose
- * writer pid is dead (plus legacy fixed-name `.tmp` files) and published
- * shards that fail datasetShardValid are deleted so the next build
- * regenerates them. Live writers' staging files are left alone, making
+ * Reclaim crash debris in a dataset directory: dead writers' staging
+ * files (reclaimDirStagingDebris) and published shards that fail
+ * datasetShardValid are deleted so the next build regenerates them. Live writers' staging files are left alone, making
  * this safe to run while other workers are mid-shard. Returns the
  * number of files removed.
  */

@@ -26,7 +26,7 @@ void
 ModelArtifact::save(const std::string &path) const
 {
     panic_if(!model.valid(), "save() on an empty artifact");
-    const std::string tmp = path + ".tmp";
+    const std::string tmp = uniqueTmpName(path);
     {
         BinaryWriter out(tmp);
         out.put<uint64_t>(kArtifactMagic);

@@ -109,15 +109,6 @@ TrainedModel::meanRelativeError(const std::vector<float> &features,
 }
 
 void
-TrainedModel::save(const std::string &path) const
-{
-    // Check before opening: BinaryWriter truncates an existing file.
-    panic_if(!net, "save() on an empty model");
-    BinaryWriter out(path);
-    save(out);
-}
-
-void
 TrainedModel::save(BinaryWriter &out) const
 {
     panic_if(!net, "save() on an empty model");
@@ -125,13 +116,6 @@ TrainedModel::save(BinaryWriter &out) const
     out.putVector(featureMean);
     out.putVector(featureStd);
     out.putVector(featureMask);
-}
-
-TrainedModel
-TrainedModel::load(const std::string &path)
-{
-    BinaryReader in(path);
-    return load(in);
 }
 
 TrainedModel
@@ -275,7 +259,7 @@ void
 saveCheckpointFile(const std::string &path, uint64_t fingerprint,
                    const TrainState &state)
 {
-    const std::string tmp = path + ".tmp";
+    const std::string tmp = uniqueTmpName(path);
     {
         BinaryWriter out(tmp);
         out.put<uint64_t>(kCheckpointMagic);
@@ -389,6 +373,8 @@ trainMlpResumable(const std::vector<float> &features,
         ? 0
         : trainFingerprint(features, labels, dim, config, mask, threads);
     TrainState state;
+    if (!checkpoint_path.empty())
+        reclaimStagingDebris(checkpoint_path);
     const bool resuming =
         !checkpoint_path.empty() && fileExists(checkpoint_path);
     if (resuming) {

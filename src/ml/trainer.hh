@@ -78,10 +78,10 @@ class TrainedModel
                              const std::vector<float> &labels,
                              size_t dim) const;
 
-    void save(const std::string &path) const;
-    static TrainedModel load(const std::string &path);
-
-    /** Stream variants, for embedding in larger artifact files. */
+    /**
+     * Stream serialization; on disk a model lives inside a ModelArtifact
+     * (core/model_artifact.hh), never as a file of its own.
+     */
     void save(BinaryWriter &out) const;
     static TrainedModel load(BinaryReader &in);
 
@@ -141,8 +141,9 @@ TrainedModel trainMlp(const std::vector<float> &features,
  * AdamW moments and step, shuffle-RNG state, LR-schedule position,
  * metric history) is written there atomically after every epoch, and a
  * pre-existing checkpoint resumes training from its last completed
- * epoch. A resumed run is bitwise-identical to one that never stopped
- * -- the checkpoint stores the (data, config, thread-count) fingerprint
+ * epoch (a killed writer's staging files are reclaimed first). A
+ * resumed run is bitwise-identical to one that never stopped -- the
+ * checkpoint stores the (data, config, thread-count) fingerprint
  * and refuses to resume against anything else, since gradient summation
  * order depends on the worker count.
  *

@@ -23,12 +23,6 @@ ModelRegistry::add(const std::string &name, ConcordePredictor predictor)
 }
 
 ModelHandle
-ModelRegistry::addFromFile(const std::string &name, const std::string &path)
-{
-    return add(name, ConcordePredictor::load(path));
-}
-
-ModelHandle
 ModelRegistry::addArtifact(const std::string &name,
                            const ModelArtifact &artifact)
 {
@@ -51,13 +45,6 @@ ModelRegistry::addArtifact(const std::string &name,
     slot.provenance = std::move(provenance);
     slot.calibration = std::move(calibration);
     return slot;
-}
-
-ModelHandle
-ModelRegistry::addFromArtifactFile(const std::string &name,
-                                   const std::string &path)
-{
-    return addArtifact(name, ModelArtifact::load(path));
 }
 
 ModelHandle

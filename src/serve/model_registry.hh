@@ -59,17 +59,9 @@ class ModelRegistry
      */
     ModelHandle add(const std::string &name, ConcordePredictor predictor);
 
-    /** Register a predictor loaded from a ConcordePredictor::save file. */
-    ModelHandle addFromFile(const std::string &name,
-                            const std::string &path);
-
     /** Register (or hot-swap to) a versioned model artifact. */
     ModelHandle addArtifact(const std::string &name,
                             const ModelArtifact &artifact);
-
-    /** Load a ModelArtifact file and register it under `name`. */
-    ModelHandle addFromArtifactFile(const std::string &name,
-                                    const std::string &path);
 
     /** Look up a model; returns an invalid handle if absent. */
     ModelHandle get(const std::string &name) const;

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
@@ -20,10 +19,6 @@ namespace serve
 
 namespace
 {
-
-/** Warm-set file magic ("CWRM") and version. */
-constexpr uint32_t kWarmSetMagic = 0x4357524D;
-constexpr uint16_t kWarmSetVersion = 1;
 
 /**
  * Fault-injection hook (tests only): when
@@ -77,7 +72,7 @@ ModelHandle
 PredictionService::loadModel(const std::string &name,
                              const std::string &artifact_path)
 {
-    return models.addFromArtifactFile(name, artifact_path);
+    return models.addArtifact(name, ModelArtifact::load(artifact_path));
 }
 
 void
@@ -269,80 +264,6 @@ PredictionService::warmRegions(const std::string &model,
             status = response.status;
     }
     return status;
-}
-
-size_t
-PredictionService::saveWarmSet(const std::string &path) const
-{
-    // Distinct regions across all models: the analyses (the expensive
-    // part) are model-independent.
-    std::vector<RegionSpec> regions;
-    {
-        std::lock_guard<std::mutex> lock(providersMtx);
-        regions.reserve(providers.size());
-        for (const auto &[key, entry] : providers) {
-            regions.push_back(RegionSpec{std::get<1>(key),
-                                         std::get<2>(key),
-                                         std::get<3>(key),
-                                         std::get<4>(key)});
-        }
-    }
-    std::sort(regions.begin(), regions.end(),
-              [](const RegionSpec &a, const RegionSpec &b) {
-                  return std::tie(a.programId, a.traceId, a.startChunk,
-                                  a.numChunks)
-                      < std::tie(b.programId, b.traceId, b.startChunk,
-                                 b.numChunks);
-              });
-    regions.erase(
-        std::unique(regions.begin(), regions.end(),
-                    [](const RegionSpec &a, const RegionSpec &b) {
-                        return std::tie(a.programId, a.traceId,
-                                        a.startChunk, a.numChunks)
-                            == std::tie(b.programId, b.traceId,
-                                        b.startChunk, b.numChunks);
-                    }),
-        regions.end());
-
-    const std::string tmp = path + ".tmp";
-    {
-        BinaryWriter writer(tmp);
-        writer.put<uint32_t>(kWarmSetMagic);
-        writer.put<uint16_t>(kWarmSetVersion);
-        writer.put<uint64_t>(regions.size());
-        for (const RegionSpec &region : regions) {
-            writer.put<int32_t>(region.programId);
-            writer.put<int32_t>(region.traceId);
-            writer.put<uint64_t>(region.startChunk);
-            writer.put<uint32_t>(region.numChunks);
-        }
-    }
-    publishFile(tmp, path);
-    return regions.size();
-}
-
-ServeStatus
-PredictionService::warmFromFile(const std::string &model,
-                                const std::string &path,
-                                const std::vector<UarchParams> &points)
-{
-    BinaryReader reader(path);
-    if (!reader.ok() || reader.get<uint32_t>() != kWarmSetMagic ||
-        reader.get<uint16_t>() != kWarmSetVersion) {
-        throw std::runtime_error("not a warm-set file: " + path);
-    }
-    const uint64_t n = reader.get<uint64_t>();
-    std::vector<RegionSpec> regions;
-    regions.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-        RegionSpec region;
-        region.programId = reader.get<int32_t>();
-        region.traceId = reader.get<int32_t>();
-        region.startChunk = reader.get<uint64_t>();
-        region.numChunks = reader.get<uint32_t>();
-        regions.push_back(region);
-    }
-    return warmRegions(model, regions, points);
 }
 
 PredictionService::ProviderKey

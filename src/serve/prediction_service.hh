@@ -153,10 +153,11 @@ class PredictionService
     const ModelRegistry &registry() const { return models; }
 
     /**
-     * Load a versioned ModelArtifact from disk and (hot-)register it
-     * under `name`; in-flight batches finish on the previous snapshot
-     * and the bumped registration id keeps their cache entries from
-     * ever answering for the new model.
+     * The one way a model file enters serving: ModelArtifact::load the
+     * file at `artifact_path` and registry().addArtifact it under
+     * `name`, hot-swapping any previous model -- in-flight batches
+     * finish on the previous snapshot and the bumped registration id
+     * keeps their cache entries from ever answering for the new model.
      */
     ModelHandle loadModel(const std::string &name,
                           const std::string &artifact_path);
@@ -216,20 +217,6 @@ class PredictionService
     ServeStatus warmRegions(const std::string &model,
                             const std::vector<RegionSpec> &regions,
                             const std::vector<UarchParams> &points = {});
-
-    /**
-     * Persist the distinct regions this service has built providers for
-     * (its hot set) to `path`; returns the number of regions written.
-     * A later process feeds the file to warmFromFile() before opening
-     * its listening socket, so the first client never pays cold region
-     * analysis.
-     */
-    size_t saveWarmSet(const std::string &path) const;
-
-    /** Load a saveWarmSet() file and warmRegions() it for `model`. */
-    ServeStatus warmFromFile(const std::string &model,
-                             const std::string &path,
-                             const std::vector<UarchParams> &points = {});
 
     /**
      * Drop the cached FeatureProvider state for regions served so far

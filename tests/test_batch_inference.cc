@@ -3,8 +3,8 @@
  * Tests for the batched inference engine: Mlp::forwardBatch,
  * TrainedModel::predictBatch, and ConcordePredictor::predictCpiBatch
  * must match the scalar path within 1e-6, including batch sizes 0, 1,
- * and larger than the thread count. Also covers the versioned
- * predictor file format (FeatureConfig round-trip).
+ * and larger than the thread count. Also covers the FeatureConfig
+ * round trip through a ModelArtifact file.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 
 #include "common/rng.hh"
 #include "core/concorde.hh"
+#include "core/model_artifact.hh"
 #include "ml/mlp.hh"
 #include "ml/trainer.hh"
 
@@ -181,7 +182,7 @@ TEST(PredictCpiBatch, PointerOverloadAgrees)
         EXPECT_EQ(a[i], b[i]);
 }
 
-TEST(PredictorSaveLoad, RoundTripsNonDefaultFeatureConfig)
+TEST(ModelArtifactSaveLoad, RoundTripsNonDefaultFeatureConfig)
 {
     FeatureConfig cfg;
     cfg.windowK = 200;
@@ -189,10 +190,13 @@ TEST(PredictorSaveLoad, RoundTripsNonDefaultFeatureConfig)
     cfg.robSweep = {2, 8, 32, 128};
     cfg.latencyRobSizes = {4, 64};
     const ConcordePredictor predictor = randomPredictor(cfg, 71);
+    ModelArtifact artifact;
+    artifact.features = cfg;
+    artifact.model = predictor.model();
 
     const std::string path = "/tmp/concorde_test_batch_predictor.bin";
-    predictor.save(path);
-    const ConcordePredictor loaded = ConcordePredictor::load(path);
+    artifact.save(path);
+    const ConcordePredictor loaded = ModelArtifact::load(path).predictor();
     std::remove(path.c_str());
 
     EXPECT_EQ(loaded.featureConfig().windowK, cfg.windowK);
@@ -206,23 +210,6 @@ TEST(PredictorSaveLoad, RoundTripsNonDefaultFeatureConfig)
     // feature configuration (a default-config provider would have the
     // wrong dimensionality entirely).
     RegionSpec spec{2, 0, 0, 1};
-    const UarchParams n1 = UarchParams::armN1();
-    EXPECT_EQ(predictor.predictCpi(spec, n1),
-              loaded.predictCpi(spec, n1));
-}
-
-TEST(PredictorSaveLoad, LegacyHeaderlessFilesStillLoad)
-{
-    // A legacy artifact holds just the TrainedModel; load() must accept
-    // it and fall back to the default FeatureConfig.
-    const ConcordePredictor predictor =
-        randomPredictor(FeatureConfig{}, 72);
-    const std::string path = "/tmp/concorde_test_legacy_model.bin";
-    predictor.model().save(path);
-    const ConcordePredictor loaded = ConcordePredictor::load(path);
-    std::remove(path.c_str());
-    EXPECT_EQ(loaded.layout().dim(), predictor.layout().dim());
-    RegionSpec spec{3, 0, 0, 1};
     const UarchParams n1 = UarchParams::armN1();
     EXPECT_EQ(predictor.predictCpi(spec, n1),
               loaded.predictCpi(spec, n1));

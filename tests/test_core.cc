@@ -137,35 +137,6 @@ TEST(Dataset, SaveLoadSaveIsByteIdentical)
     std::remove(path_b.c_str());
 }
 
-TEST(Dataset, LegacyRawStructFormatStillLoads)
-{
-    // Pre-v2 cache files (committed bench-artifacts) carry raw
-    // SampleMeta bytes behind the old magic; the loader must keep
-    // accepting them.
-    const std::string path = "/tmp/concorde_test_dataset_legacy.bin";
-    const Dataset data = buildDataset(smallConfig(4, 17));
-    {
-        BinaryWriter out(path);
-        out.put<uint64_t>(0xC04C08DEULL);   // legacy magic
-        out.put<uint64_t>(data.dim);
-        out.putVector(data.features);
-        out.putVector(data.labels);
-        out.putVector(data.meta);           // raw struct bytes
-    }
-    const Dataset loaded = Dataset::load(path);
-    EXPECT_EQ(loaded.dim, data.dim);
-    EXPECT_EQ(loaded.features, data.features);
-    EXPECT_EQ(loaded.labels, data.labels);
-    ASSERT_EQ(loaded.meta.size(), data.meta.size());
-    for (size_t i = 0; i < data.meta.size(); ++i) {
-        EXPECT_TRUE(loaded.meta[i].params == data.meta[i].params);
-        EXPECT_EQ(loaded.meta[i].region.startChunk,
-                  data.meta[i].region.startChunk);
-        EXPECT_EQ(loaded.meta[i].cpi, data.meta[i].cpi);
-    }
-    std::remove(path.c_str());
-}
-
 TEST(Dataset, AppendConcatenatesRows)
 {
     const Dataset a = buildDataset(smallConfig(3, 18));
@@ -240,24 +211,6 @@ TEST(Predictor, ProviderAndOneShotAgree)
     const double one_shot = predictor.predictCpi(spec, params);
     EXPECT_DOUBLE_EQ(via_provider, one_shot);
     EXPECT_GT(via_provider, 0.0);
-}
-
-TEST(Predictor, SaveLoadPreservesPredictions)
-{
-    const Dataset data = buildDataset(smallConfig(30, 10));
-    TrainConfig tc;
-    tc.epochs = 3;
-    tc.threads = 4;
-    TrainedModel model =
-        trainMlp(data.features, data.labels, data.dim, tc);
-    ConcordePredictor predictor(std::move(model), FeatureConfig{});
-    const std::string path = "/tmp/concorde_test_predictor.bin";
-    predictor.save(path);
-    const ConcordePredictor loaded = ConcordePredictor::load(path);
-    const RegionSpec spec = data.meta[1].region;
-    EXPECT_EQ(predictor.predictCpi(spec, data.meta[1].params),
-              loaded.predictCpi(spec, data.meta[1].params));
-    std::remove(path.c_str());
 }
 
 TEST(Predictor, LongProgramAveragesSamples)

@@ -8,7 +8,9 @@
  */
 
 #include <gtest/gtest.h>
+#include <dirent.h>
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -35,6 +37,34 @@ fileBytes(const std::string &path)
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
+}
+
+/** The bytes of `model` saved as a ModelArtifact at `path` (removed). */
+std::string
+modelBytes(const TrainedModel &model, const std::string &path)
+{
+    ModelArtifact artifact;
+    artifact.model = model;
+    artifact.save(path);
+    const std::string bytes = fileBytes(path);
+    std::remove(path.c_str());
+    return bytes;
+}
+
+/** Names of the entries of `dir` that contain `needle`. */
+std::vector<std::string>
+entriesContaining(const std::string &dir, const std::string &needle)
+{
+    std::vector<std::string> hits;
+    DIR *d = opendir(dir.c_str());
+    if (!d)
+        return hits;
+    while (const dirent *entry = readdir(d)) {
+        if (std::string(entry->d_name).find(needle) != std::string::npos)
+            hits.push_back(entry->d_name);
+    }
+    closedir(d);
+    return hits;
 }
 
 std::string
@@ -211,14 +241,10 @@ TEST(ResumableTraining, NoValSplitMatchesLegacyTrainMlp)
         trainMlp(data.features, data.labels, data.dim, tc);
     const TrainRun run = trainMlpResumable(data.features, data.labels,
                                            data.dim, tc);
-    const std::string path_a = "/tmp/concorde_lifecycle_legacy_a.bin";
-    const std::string path_b = "/tmp/concorde_lifecycle_legacy_b.bin";
-    via_wrapper.save(path_a);
-    run.model.save(path_b);
-    EXPECT_EQ(fileBytes(path_a), fileBytes(path_b));
+    EXPECT_EQ(
+        modelBytes(via_wrapper, "/tmp/concorde_lifecycle_legacy_a.bin"),
+        modelBytes(run.model, "/tmp/concorde_lifecycle_legacy_b.bin"));
     EXPECT_LT(run.history.back().valRelErr, 0.0) << "no split requested";
-    std::remove(path_a.c_str());
-    std::remove(path_b.c_str());
 }
 
 TEST(ResumableTraining, InterruptedResumeIsBitwiseIdentical)
@@ -261,15 +287,11 @@ TEST(ResumableTraining, InterruptedResumeIsBitwiseIdentical)
     }
     EXPECT_EQ(fileBytes(ckpt_full), fileBytes(ckpt_resume));
 
-    const std::string model_full = "/tmp/concorde_lifecycle_model_f.bin";
-    const std::string model_resume = "/tmp/concorde_lifecycle_model_r.bin";
-    full.model.save(model_full);
-    resumed.model.save(model_resume);
-    EXPECT_EQ(fileBytes(model_full), fileBytes(model_resume));
+    EXPECT_EQ(modelBytes(full.model, "/tmp/concorde_lifecycle_model_f.bin"),
+              modelBytes(resumed.model,
+                         "/tmp/concorde_lifecycle_model_r.bin"));
     std::remove(ckpt_full.c_str());
     std::remove(ckpt_resume.c_str());
-    std::remove(model_full.c_str());
-    std::remove(model_resume.c_str());
 }
 
 TEST(ResumableTrainingDeathTest, RejectsForeignCheckpoint)
@@ -337,6 +359,50 @@ TEST(ModelArtifact, SaveLoadRoundTripsEverything)
     EXPECT_EQ(fileBytes(path_a), fileBytes(path_b));
     std::remove(path_a.c_str());
     std::remove(path_b.c_str());
+}
+
+TEST(ModelArtifact, ConcurrentSavesToOnePathNeverTear)
+{
+    // Two writers race 50 saves each of different artifacts onto one
+    // path. Staging under uniqueTmpName and publishing by atomic rename
+    // means every load sees one complete version, and no staging file
+    // outlives its save.
+    const std::string dir = freshDir("artifact_race");
+    ensureDir(dir);
+    const std::string path = dir + "/model.bin";
+    std::array<ModelArtifact, 2> versions;
+    std::array<std::string, 2> bytes;
+    for (size_t v = 0; v < versions.size(); ++v) {
+        versions[v].model =
+            artifacts::untrainedModel(versions[v].features, 500 + v, {8});
+        versions[v].provenance.trainedEpochs = v;
+        versions[v].save(dir + "/ref.bin");
+        bytes[v] = fileBytes(dir + "/ref.bin");
+    }
+    std::remove((dir + "/ref.bin").c_str());
+
+    std::atomic<int> foreign{0};
+    std::vector<std::thread> writers;
+    for (size_t v = 0; v < versions.size(); ++v) {
+        writers.emplace_back([&, v]() {
+            const std::string copy = dir + "/copy" + std::to_string(v);
+            for (int i = 0; i < 50; ++i) {
+                versions[v].save(path);
+                // A torn file would fail the load (fatal), and a load
+                // that mixed the two would not re-save to either one.
+                ModelArtifact::load(path).save(copy);
+                const std::string seen = fileBytes(copy);
+                if (seen != bytes[0] && seen != bytes[1])
+                    ++foreign;
+            }
+            std::remove(copy.c_str());
+        });
+    }
+    for (auto &writer : writers)
+        writer.join();
+    EXPECT_EQ(foreign.load(), 0);
+    EXPECT_TRUE(entriesContaining(dir, ".tmp").empty())
+        << "staging file left behind";
 }
 
 TEST(ModelArtifact, PipelineAndServiceConsumeArtifacts)
@@ -497,7 +563,7 @@ TEST(RegistryHotSwap, EveryPredictionAttributableToExactlyOneVersion)
     // swap must answer with the *new* version's bits (the registration
     // id salts the cache key, so the old entry cannot hit).
     for (size_t v = 0; v < versions.size(); ++v) {
-        service.registry().addFromArtifactFile("prod", paths[v]);
+        service.loadModel("prod", paths[v]);
         for (size_t r = 0; r < regions.size(); ++r) {
             for (size_t p = 0; p < points.size(); ++p) {
                 EXPECT_EQ(service.predict("prod", regions[r], points[p]),
@@ -626,6 +692,47 @@ TEST(CliExitCodes, LifecycleSubcommandsRejectMalformedFlags)
     // A missing model artifact is a missing file: exit 1, not 2.
     EXPECT_EQ(cliExitCode("serve S7 --model /nonexistent"), 1);
     EXPECT_EQ(cliExitCode("serve S7 model=/nonexistent"), 1);
+}
+
+/**
+ * The "predicted CPI" line `predict <program>` prints with `env` in its
+ * environment, or "" if the run exits non-zero or prints none.
+ */
+std::string
+cliPredictLine(const std::string &env, const std::string &program)
+{
+    const std::string out = "/tmp/concorde_lifecycle_predict.txt";
+    const std::string cmd = env + " timeout 300 "
+        + std::string(CONCORDE_CLI_PATH) + " predict " + program + " >"
+        + out + " 2>/dev/null";
+    const int status = std::system(cmd.c_str());
+    std::istringstream text(fileBytes(out));
+    std::remove(out.c_str());
+    EXPECT_EQ(WEXITSTATUS(status), 0) << cmd;
+    std::string line;
+    while (std::getline(text, line)) {
+        if (line.find("predicted CPI") != std::string::npos)
+            return status == 0 ? line : "";
+    }
+    return "";
+}
+
+TEST(CliColdPredict, CachedModelNeedsNoDataset)
+{
+    // The model cache is keyed without the dataset, so once the model
+    // is cached, predict neither reads nor rebuilds the training set.
+    const std::string dir = freshDir("cold_predict");
+    const std::string env = "CONCORDE_ARTIFACTS=" + dir
+        + " CONCORDE_TRAIN_SAMPLES=40 CONCORDE_EPOCHS=1";
+    const std::string first = cliPredictLine(env, "P1");
+    ASSERT_FALSE(first.empty());
+    ASSERT_FALSE(entriesContaining(dir, "train_main_").empty());
+    ASSERT_EQ(std::system(("rm -f '" + dir + "'/train_main_*").c_str()),
+              0);
+
+    EXPECT_EQ(cliPredictLine(env, "P1"), first);
+    EXPECT_TRUE(entriesContaining(dir, "train_main_").empty())
+        << "predict rebuilt the training set of a cached model";
 }
 
 #endif // CONCORDE_CLI_PATH

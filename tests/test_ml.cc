@@ -231,8 +231,12 @@ TEST(TrainedModel, SaveLoadPreservesPredictions)
     config.threads = 2;
     const TrainedModel model = trainMlp(xs, ys, dim, config);
     const std::string path = "/tmp/concorde_test_model.bin";
-    model.save(path);
-    const TrainedModel loaded = TrainedModel::load(path);
+    {
+        BinaryWriter out(path);
+        model.save(out);
+    }
+    BinaryReader in(path);
+    const TrainedModel loaded = TrainedModel::load(in);
     for (size_t i = 0; i < 10; ++i) {
         EXPECT_EQ(model.predict(xs.data() + i * dim),
                   loaded.predict(xs.data() + i * dim));

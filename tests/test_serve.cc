@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -511,7 +510,7 @@ TEST(PredictionService, ClearProvidersRefusesWhileBusy)
     EXPECT_EQ(service.clearProviders(), ServeStatus::OK);
 }
 
-TEST(PredictionService, WarmRegionsPrimesCacheAndSavesWarmSet)
+TEST(PredictionService, WarmRegionsPrimesCache)
 {
     ServeConfig cfg;
     cfg.batching = uniformBatching(16, std::chrono::microseconds(100));
@@ -530,21 +529,6 @@ TEST(PredictionService, WarmRegionsPrimesCacheAndSavesWarmSet)
     for (const auto &region : regions)
         (void)service.predict("tiny", region, points[0]);
     EXPECT_EQ(service.stats().cache.misses, misses);
-
-    // Warm-set persistence round-trips into a fresh service.
-    const std::string path = "test_warm_set.bin";
-    EXPECT_EQ(service.saveWarmSet(path), regions.size());
-    {
-        PredictionService fresh(cfg);
-        fresh.registry().add("tiny", tinyPredictor(24));
-        EXPECT_EQ(fresh.warmFromFile("tiny", path, points),
-                  ServeStatus::OK);
-        const uint64_t freshMisses = fresh.stats().cache.misses;
-        for (const auto &region : regions)
-            (void)fresh.predict("tiny", region, points[0]);
-        EXPECT_EQ(fresh.stats().cache.misses, freshMisses);
-    }
-    std::remove(path.c_str());
 }
 
 TEST(PredictionService, ServesMultipleModelsAndRegions)

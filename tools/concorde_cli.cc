@@ -406,6 +406,18 @@ regionFor(int pid)
     return spec;
 }
 
+/**
+ * The model a command evaluates: the model= artifact when given (what
+ * scaled-out workers use, so none of them trains), else the cached full
+ * model.
+ */
+ModelArtifact
+commandModel(const std::string &model_path)
+{
+    return model_path.empty() ? artifacts::fullArtifact()
+                              : ModelArtifact::load(model_path);
+}
+
 std::atomic<bool> g_stopServing{false};
 
 void
@@ -450,15 +462,11 @@ runServe(const Args &a)
 
     serve::PredictionService service(config);
     const std::string model_path = a.text("model");
-    if (model_path.empty()) {
-        service.registry().add(
-            "default", ConcordePredictor(artifacts::fullModel(),
-                                         artifacts::featureConfig()));
-    } else {
-        if (!fileExists(model_path))
-            return missingFile("model artifact", model_path);
-        const serve::ModelHandle handle =
-            service.loadModel("default", model_path);
+    if (!model_path.empty() && !fileExists(model_path))
+        return missingFile("model artifact", model_path);
+    const serve::ModelHandle handle = service.registry().addArtifact(
+        "default", commandModel(model_path));
+    if (!model_path.empty()) {
         std::printf("loaded artifact %s (trained %llu epochs, held-out "
                     "rel-err %.4f, %s)\n", model_path.c_str(),
                     static_cast<unsigned long long>(
@@ -466,7 +474,7 @@ runServe(const Args &a)
                     handle.provenance->heldOutRelErr,
                     handle.provenance->gitDescribe.c_str());
     }
-    if (service.registry().get("default").calibrated()) {
+    if (handle.calibrated()) {
         std::printf("uncertainty: calibrated (alpha=%.3g max_width=%.3g "
                     "fallback=%s budget=%zu reject=%s%s%s)\n",
                     config.uncertainty.alpha,
@@ -689,8 +697,7 @@ runPipeline(const Args &a)
         : pipeline::StateMode::Independent;
     config.threads = static_cast<size_t>(a.num("threads"));
 
-    ConcordePredictor predictor(artifacts::fullModel(),
-                                artifacts::featureConfig());
+    const ConcordePredictor predictor = commandModel("").predictor();
     std::printf("pipeline over %s: %llu chunks (%.1fk instructions), "
                 "regions of %lld chunks, mode %s/%s\n", a.code,
                 static_cast<unsigned long long>(span.numChunks),
@@ -1148,22 +1155,6 @@ printSweepTable(ParamId id, const char *code,
 }
 
 /**
- * The predictor a sweep evaluates: an explicit artifact when model= is
- * given (what scaled-out workers use, so none of them trains), else the
- * cached full model.
- */
-ConcordePredictor
-sweepPredictor(const std::string &model_path)
-{
-    if (model_path.empty()) {
-        return ConcordePredictor(artifacts::fullModel(),
-                                 artifacts::featureConfig());
-    }
-    const ModelArtifact artifact = ModelArtifact::load(model_path);
-    return ConcordePredictor(artifact.model, artifact.features);
-}
-
-/**
  * The grid of a sweep or sweep-worker command line: the <param> values
  * and the design point of each. Returns 0, or 1 when model= names no
  * file.
@@ -1196,7 +1187,8 @@ runSweep(const Args &a)
     if (a.num("workers") == 0) {
         // The DSE fast path: one store-shared analysis, one provider's
         // memo caches across the grid, one batched-inference pass.
-        const ConcordePredictor predictor = sweepPredictor(model_path);
+        const ConcordePredictor predictor =
+            commandModel(model_path).predictor();
         const auto cpis = predictor.predictSweep(regionFor(a.pid), points);
         if (!out_path.empty())
             writeSweepResult(out_path, cpis);
@@ -1215,7 +1207,7 @@ runSweep(const Args &a)
     if (model_path.empty()) {
         // Train-or-load the shared model cache before forking: fresh
         // workers would otherwise race to train it.
-        (void)artifacts::fullModel();
+        (void)artifacts::fullArtifact();
     }
     const size_t n = std::min<size_t>(
         static_cast<size_t>(a.num("workers")), points.size());
@@ -1296,7 +1288,8 @@ runSweepWorker(const Args &a)
         points.push_back(grid[i]);
     }
 
-    const ConcordePredictor predictor = sweepPredictor(a.text("model"));
+    const ConcordePredictor predictor =
+        commandModel(a.text("model")).predictor();
     const auto cpis = predictor.predictSweep(regionFor(a.pid), points);
 
     const std::string out_path = a.text("out");
@@ -1343,11 +1336,10 @@ runSimulate(const Args &a)
 int
 runPredict(const Args &a)
 {
-    ConcordePredictor predictor(artifacts::fullModel(),
-                                artifacts::featureConfig());
+    const ConcordePredictor predictor = commandModel("").predictor();
     FeatureProvider provider(
         AnalysisStore::global().acquire(regionFor(a.pid)),
-        artifacts::featureConfig());
+        predictor.featureConfig());
 
     if (std::strcmp(a.cmd->name, "predict") == 0) {
         const double cpi = predictor.predictCpi(provider, a.params);
